@@ -531,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     vor.add_argument("--quick", action="store_true",
                      help="short streams (the CI smoke configuration)")
     vor.add_argument("--schemes", default="all", metavar="S1,S2",
-                     help="comma-separated scheme list (default: the "
-                          "five evaluated schemes)")
+                     help="comma-separated scheme list (default: all "
+                          "nine engines)")
     vor.add_argument("--mixes", default="S-1,M-2", metavar="M1,M2",
                      help="comma-separated Table II mix ids")
     vor.add_argument("--accesses", type=int, default=1200,

@@ -15,6 +15,7 @@ Two decoupled pieces:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.mem import spaces
@@ -132,6 +133,15 @@ class TreeGeometry:
         return spaces.tag(spaces.COUNTER, counter_block)
 
 
+def _frame(part: bytes) -> bytes:
+    """``part`` as :func:`keyed_hash` frames it: 4-byte length, bytes."""
+    return len(part).to_bytes(4, "little") + part
+
+
+#: Frame header of an 8-byte node or counter-block index.
+_FRAMED_INDEX = (8).to_bytes(4, "little")
+
+
 class TamperDetected(Exception):
     """Integrity verification failed: memory contents were altered."""
 
@@ -142,6 +152,12 @@ class BonsaiMerkleTree:
     The stored state (`_node_hash`) models what sits in untrusted memory;
     only the root is implicitly trusted (kept "on chip").  ``tamper_*``
     methods act as the physical adversary.
+
+    Every node hash goes through :meth:`_compute_node`, which reads the
+    node's children one level down: counter blocks at level 1, stored
+    node hashes above.  :meth:`refresh_path` and :meth:`verify` walk one
+    leaf-to-root path with it; :meth:`rebuild` sweeps it bottom-up over
+    every materialised counter block.
     """
 
     HASH_BYTES = 8  # 8 hashes x 8B per 64B node
@@ -152,26 +168,31 @@ class BonsaiMerkleTree:
         self.counters = counters
         self._key = key
         self._node_hash: dict[tuple[int, int], bytes] = {}
+        # Keying blake2b costs a compression; every hash copies this
+        # pre-keyed state instead.  The inputs are framed exactly like
+        # keyed_hash(key, b"ctr", index, payload) and
+        # keyed_hash(key, b"node", level, index, children).
+        self._keyed = hashlib.blake2b(key=key[:64],
+                                      digest_size=self.HASH_BYTES)
+        self._ctr_prefix = _frame(b"ctr") + _FRAMED_INDEX
+        self._node_prefix = [_frame(b"node")
+                             + _frame(level.to_bytes(2, "little"))
+                             + _FRAMED_INDEX
+                             for level in range(geometry.height + 1)]
         # Counter blocks are lazily zero; hashes of all-zero subtrees are
         # deterministic, so compute them once per level.
         self._zero_hash = self._build_zero_hashes()
-        self._root = self._stored_hash(NodeId(self.geo.height, 0))
+        self._root = self._zero_hash[self.geo.height]
 
     # -- hashing helpers --------------------------------------------------------
 
-    def _hash_counter_block(self, counter_block: int) -> bytes:
-        payload = self.counters.serialize(counter_block)
-        return keyed_hash(self._key, b"ctr",
-                          counter_block.to_bytes(8, "little"), payload,
-                          digest_size=self.HASH_BYTES)
-
-    def _hash_children(self, node: NodeId,
-                       child_hashes: list[bytes]) -> bytes:
-        return keyed_hash(self._key, b"node",
-                          node.level.to_bytes(2, "little"),
-                          node.index.to_bytes(8, "little"),
-                          b"".join(child_hashes),
-                          digest_size=self.HASH_BYTES)
+    def _hash(self, prefix: bytes, index: int, payload: bytes) -> bytes:
+        """Keyed hash of ``prefix`` (the framed parts before the index),
+        then ``index`` and ``payload``, each framed."""
+        h = self._keyed.copy()
+        h.update(b"".join((prefix, index.to_bytes(8, "little"),
+                           _frame(payload))))
+        return h.digest()
 
     def _build_zero_hashes(self) -> list[bytes]:
         """zero_hash[l] = stored hash of an untouched node at level l."""
@@ -186,33 +207,45 @@ class BonsaiMerkleTree:
                                   digest_size=self.HASH_BYTES))
         return out
 
-    def _counter_hash(self, counter_block: int) -> bytes:
-        # Untouched pages hash to the canonical zero hash.
-        if counter_block in self.counters._blocks:
-            return self._hash_counter_block(counter_block)
-        return self._zero_hash[0]
+    def _compute_node(self, level: int, index: int) -> bytes:
+        """Hash of node ``(level, index)`` over its children's current
+        hashes (one level down only).
 
-    def _stored_hash(self, node: NodeId) -> bytes:
-        return self._node_hash.get((node.level, node.index),
-                                   self._zero_hash[node.level])
-
-    def _computed_hash(self, node: NodeId) -> bytes:
-        """Hash of the node's *stored children* (one level down only).
-
-        Untouched subtrees hash to the canonical per-level zero hash, so
-        a lazily-materialised tree verifies without instantiating every
-        node.
+        Untouched counter blocks and unstored nodes count as the
+        canonical per-level zero hash, and a node whose children all do
+        is itself the zero hash, so a lazily-materialised tree verifies
+        without instantiating every node.
         """
-        if node.level == 1:
-            child_hashes = [self._counter_hash(c)
-                            for c in self.geo.counter_children(node)]
+        geo = self.geo
+        lo = index * geo.arity
+        child_zero = self._zero_hash[level - 1]
+        if level == 1:
+            hi = min(lo + geo.arity, geo.n_counter_blocks)
+            blocks = self.counters._blocks
+            serialize = self.counters.serialize
+            prefix = self._ctr_prefix
+            children = b"".join([
+                self._hash(prefix, c, serialize(c)) if c in blocks
+                else child_zero for c in range(lo, hi)])
         else:
-            child_hashes = [self._stored_hash(c)
-                            for c in self.geo.children(node)]
-        if all(ch == self._zero_hash[node.level - 1]
-               for ch in child_hashes):
-            return self._zero_hash[node.level]
-        return self._hash_children(node, child_hashes)
+            hi = min(lo + geo.arity, geo.level_sizes[level - 2])
+            stored = self._node_hash.get
+            below = level - 1
+            children = b"".join([stored((below, c), child_zero)
+                                 for c in range(lo, hi)])
+        if children == child_zero * (hi - lo):
+            return self._zero_hash[level]
+        return self._hash(self._node_prefix[level], index, children)
+
+    def _path(self, counter_block: int):
+        """``(level, index)`` of each node from the leaf to the root."""
+        if not 0 <= counter_block < self.geo.n_counter_blocks:
+            raise IndexError(f"counter block {counter_block} out of range")
+        arity = self.geo.arity
+        index = counter_block
+        for level in range(1, self.geo.height + 1):
+            index //= arity
+            yield level, index
 
     # -- public API ---------------------------------------------------------------
 
@@ -227,18 +260,48 @@ class BonsaiMerkleTree:
 
     def refresh_path(self, counter_block: int) -> None:
         """Recompute stored hashes along the path after a counter change."""
-        for node in self.geo.path_to_root(counter_block):
-            h = self._computed_hash(node)
-            self._node_hash[(node.level, node.index)] = h
-        self._root = self._stored_hash(NodeId(self.geo.height, 0))
+        node_hash = self._node_hash
+        for node in self._path(counter_block):
+            node_hash[node] = self._compute_node(*node)
+        self._root = node_hash[(self.geo.height, 0)]
+
+    def rebuild(self) -> bytes:
+        """Discard every stored hash and rebuild the tree bottom-up from
+        the counter store alone; returns the new root.
+
+        Each leaf over a materialised counter block is hashed once, then
+        each parent of the previous level once, up to the root; untouched
+        subtrees keep the canonical zero hash.  The stored hashes end up
+        exactly as :meth:`refresh_path` over every materialised block
+        would leave them on a fresh tree.
+        """
+        blocks = self.counters._blocks
+        if blocks and not (0 <= min(blocks) <= max(blocks)
+                           < self.geo.n_counter_blocks):
+            raise IndexError("counter store holds blocks outside the tree")
+        node_hash = self._node_hash
+        node_hash.clear()
+        arity = self.geo.arity
+        indices = {c // arity for c in blocks}
+        for level in range(1, self.geo.height + 1):
+            for index in indices:
+                node_hash[(level, index)] = self._compute_node(level, index)
+            indices = {i // arity for i in indices}
+        self._root = node_hash.get((self.geo.height, 0),
+                                   self._zero_hash[self.geo.height])
+        return self._root
 
     def verify(self, counter_block: int) -> None:
         """Leaf-to-root verification; raises :class:`TamperDetected`."""
-        for node in self.geo.path_to_root(counter_block):
-            if self._computed_hash(node) != self._stored_hash(node):
+        stored = self._node_hash.get
+        zero = self._zero_hash
+        for level, index in self._path(counter_block):
+            if self._compute_node(level, index) \
+                    != stored((level, index), zero[level]):
                 raise TamperDetected(
-                    f"hash mismatch at level {node.level} node {node.index}")
-        if self._stored_hash(NodeId(self.geo.height, 0)) != self._root:
+                    f"hash mismatch at level {level} node {index}")
+        height = self.geo.height
+        if stored((height, 0), zero[height]) != self._root:
             raise TamperDetected("root mismatch")
 
     # -- adversary ------------------------------------------------------------------

@@ -62,6 +62,11 @@ class CounterStore:
             self._blocks[page] = cb
         return cb
 
+    def peek(self, page: int) -> CounterBlock | None:
+        """The page's counter block, or None while it is lazily zero
+        (unlike :meth:`block`, never materialises one)."""
+        return self._blocks.get(page)
+
     def value(self, page: int, block_in_page: int) -> int:
         return self.block(page).value(block_in_page)
 

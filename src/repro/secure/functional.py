@@ -136,12 +136,17 @@ class FunctionalSecureMemory:
             self._macs.tamper(d, mac)
 
     def adversary_replay(self, page: int, block: int) -> "ReplayCapsule":
-        """Snapshot (ciphertext, MAC, counter) for a later replay."""
+        """Snapshot (ciphertext, MAC, counter) for a later replay.
+
+        Reading the snapshot changes nothing: a never-written page's
+        counter block stays lazily zero, and the capsule records it as
+        absent rather than materialising it behind the tree."""
         addr = self._block_addr(page, block)
-        cb = self.counters.block(page)
+        cb = self.counters.peek(page)
         return ReplayCapsule(page, block, self.dram.read(addr),
                              self._macs.stored(addr),
-                             cb.major, list(cb.minors))
+                             None if cb is None else cb.major,
+                             None if cb is None else list(cb.minors))
 
     def adversary_apply_replay(self, capsule: "ReplayCapsule") -> None:
         """Write the stale snapshot back (data + MAC + counters).
@@ -151,9 +156,12 @@ class FunctionalSecureMemory:
         self.dram.write(addr, capsule.ciphertext)
         if capsule.mac is not None:
             self._macs.tamper(addr, capsule.mac)
-        cb = self.counters.block(capsule.page)
-        cb.major = capsule.major
-        cb.minors = list(capsule.minors)
+        if capsule.minors is None:
+            self.counters.reset_page(capsule.page)
+        else:
+            cb = self.counters.block(capsule.page)
+            cb.major = capsule.major
+            cb.minors = list(capsule.minors)
         # deliberately no tree refresh: memory changed behind the root
 
 
@@ -163,5 +171,6 @@ class ReplayCapsule:
     block: int
     ciphertext: bytes
     mac: bytes | None
-    major: int
-    minors: list[int]
+    #: the page's counter block; None while it was lazily zero
+    major: int | None
+    minors: list[int] | None

@@ -64,10 +64,12 @@ FUNCTIONAL_KEY = b"ivleague-functional-key!"
 MODEL_FAULTS = ("drop-writeback", "skip-verify", "missed-reencrypt",
                 "stale-counter-fill")
 
-#: The five evaluated schemes (issue wording: BMT baseline, VAULT,
-#: static partitioning, IvLeague/TreeLing, and the bit-vector NFL).
-DEFAULT_SCHEMES = ("baseline", "vault", "static-partition",
-                   "ivleague-basic", "ivleague-bv2")
+#: Every engine: the paper's four (baseline BMT and the three IvLeague
+#: variants), the two bit-vector NFL allocators, and the SGX counter
+#: tree, VAULT and static-partition comparators.
+DEFAULT_SCHEMES = ("baseline", "ivleague-basic", "ivleague-invert",
+                   "ivleague-pro", "ivleague-bv1", "ivleague-bv2",
+                   "sgx-counter-tree", "vault", "static-partition")
 
 
 class OracleDisagreement(AssertionError):
@@ -459,15 +461,14 @@ class DifferentialOracle:
         return h.hexdigest()
 
     def _recompute_root(self) -> bytes:
-        """Tree root rebuilt from scratch over the functional counters
-        (independent of every incremental ``refresh_path`` the model
-        did along the way)."""
+        """Tree root rebuilt from scratch over the functional counters:
+        a fresh tree hashes bottom-up from the counter store alone, so
+        it is independent of every stored hash and every incremental
+        ``refresh_path`` the model did along the way."""
         ref = BonsaiMerkleTree(TreeGeometry(self.fsm.n_pages),
                                self.fsm.counters,
                                key=FUNCTIONAL_KEY + b"/bmt")
-        for page in sorted(self.fsm.counters._blocks):
-            ref.refresh_path(page)
-        return ref.root
+        return ref.rebuild()
 
     def checkpoint(self) -> None:
         """Assert every agreement contract for the window just ended."""

@@ -1,5 +1,7 @@
 """Tests for the functional crypto stack: cipher, counters, MAC, BMT."""
 
+import random
+
 import pytest
 
 from repro.secure.bmt import BonsaiMerkleTree, NodeId, TamperDetected, \
@@ -222,3 +224,141 @@ class TestBonsaiMerkleTree:
         tree.verify(0)  # disjoint path: still fine
         with pytest.raises(TamperDetected):
             tree.verify(511)
+
+
+class _ReferenceBMT:
+    """The tree's original per-node walk, rebuilt from :func:`keyed_hash`
+    and the geometry's ``NodeId`` structure, kept as an independent
+    reference: a node hashes its children one level down, untouched
+    subtrees hash to the canonical per-level zero hash, and a root
+    check refreshes every materialised counter block's path in order."""
+
+    def __init__(self, geo, counters, key):
+        self.geo, self.counters, self.key = geo, counters, key
+        self.node_hash = {}
+        zero = [keyed_hash(key, b"zero-ctr", digest_size=8)]
+        for level in range(1, geo.height + 1):
+            zero.append(keyed_hash(key, b"zero-node",
+                                   level.to_bytes(2, "little"),
+                                   zero[-1] * geo.arity, digest_size=8))
+        self.zero = zero
+
+    def stored(self, node):
+        return self.node_hash.get((node.level, node.index),
+                                  self.zero[node.level])
+
+    def computed(self, node):
+        if node.level == 1:
+            hashes = [keyed_hash(self.key, b"ctr", c.to_bytes(8, "little"),
+                                 self.counters.serialize(c), digest_size=8)
+                      if c in self.counters._blocks else self.zero[0]
+                      for c in self.geo.counter_children(node)]
+        else:
+            hashes = [self.stored(c) for c in self.geo.children(node)]
+        if all(h == self.zero[node.level - 1] for h in hashes):
+            return self.zero[node.level]
+        return keyed_hash(self.key, b"node", node.level.to_bytes(2, "little"),
+                          node.index.to_bytes(8, "little"), b"".join(hashes),
+                          digest_size=8)
+
+    def refresh_path(self, counter_block):
+        for node in self.geo.path_to_root(counter_block):
+            self.node_hash[(node.level, node.index)] = self.computed(node)
+
+    @property
+    def root(self):
+        return self.stored(NodeId(self.geo.height, 0))
+
+    @classmethod
+    def rebuilt(cls, geo, counters, key):
+        ref = cls(geo, counters, key)
+        for page in sorted(counters._blocks):
+            ref.refresh_path(page)
+        return ref
+
+
+class TestRebuildMatchesReference:
+    """``rebuild``, the incrementally maintained root and the reference
+    walk agree bit for bit, including on geometries whose last node at
+    some level is partial."""
+
+    KEY = b"reference-bmt-key"
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 100, 513, 16384])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_store(self, n, seed):
+        rng = random.Random(n * 31 + seed)
+        store = CounterStore(minor_bits=2)   # overflows come quickly
+        geo = TreeGeometry(n)
+        tree = BonsaiMerkleTree(geo, store, key=self.KEY)
+        ref = _ReferenceBMT(geo, store, self.KEY)
+        hot = [rng.randrange(n) for _ in range(12)]
+        for _ in range(150):
+            page = rng.choice(hot) if rng.random() < 0.6 \
+                else rng.randrange(n)
+            op = rng.random()
+            if op < 0.1:
+                store.value(page, 0)      # materialises an all-zero block
+            elif op < 0.2:
+                store.reset_page(page)
+            else:
+                store.increment(page, rng.randrange(BLOCKS_PER_PAGE))
+            tree.refresh_path(page)
+            ref.refresh_path(page)
+            assert tree._node_hash == ref.node_hash
+            assert tree.root == ref.root
+        fresh = BonsaiMerkleTree(geo, store, key=self.KEY)
+        assert fresh.rebuild() == tree.root
+        assert fresh.root == _ReferenceBMT.rebuilt(geo, store,
+                                                   self.KEY).root
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 100, 513, 16384])
+    def test_rebuild_stores_what_the_reference_walk_stores(self, n):
+        store = CounterStore()
+        for page in {0, n // 3, n // 2, n - 1}:
+            store.increment(page, page % BLOCKS_PER_PAGE)
+        geo = TreeGeometry(n)
+        tree = BonsaiMerkleTree(geo, store, key=self.KEY)
+        tree.rebuild()
+        assert tree._node_hash == _ReferenceBMT.rebuilt(
+            geo, store, self.KEY).node_hash
+        for page in store._blocks:
+            tree.verify(page)
+
+    def test_empty_store_rebuilds_to_the_zero_hash(self):
+        geo = TreeGeometry(513)
+        tree = BonsaiMerkleTree(geo, CounterStore(), key=self.KEY)
+        zero_root = _ReferenceBMT(geo, CounterStore(), self.KEY).root
+        assert tree.root == zero_root
+        assert tree.rebuild() == zero_root
+        assert tree._node_hash == {}
+
+    def test_materialised_zero_block_is_not_untouched(self):
+        """A read materialises an all-zero block, which hashes as a real
+        counter block, not as the canonical zero hash."""
+        geo = TreeGeometry(100)
+        store = CounterStore()
+        empty_root = BonsaiMerkleTree(geo, store, key=self.KEY).rebuild()
+        assert store.value(42, 0) == 0
+        root = BonsaiMerkleTree(geo, store, key=self.KEY).rebuild()
+        assert root != empty_root
+        assert root == _ReferenceBMT.rebuilt(geo, store, self.KEY).root
+        store.reset_page(42)
+        assert BonsaiMerkleTree(geo, store,
+                                key=self.KEY).rebuild() == empty_root
+
+    def test_rebuild_ignores_stored_hashes(self):
+        store = CounterStore()
+        tree = BonsaiMerkleTree(TreeGeometry(256), store, key=self.KEY)
+        tree.update_counter(9, 0)
+        good = tree.root
+        tree.tamper_node(tree.geo.leaf_for_counter(9), b"\x00" * 8)
+        tree.tamper_node(NodeId(1, 30), b"\x01" * 8)
+        assert tree.rebuild() == good
+        tree.verify(9)
+
+    def test_rebuild_rejects_blocks_outside_the_tree(self):
+        store = CounterStore()
+        store.increment(64, 0)
+        with pytest.raises(IndexError):
+            BonsaiMerkleTree(TreeGeometry(64), store).rebuild()

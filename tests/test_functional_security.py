@@ -68,6 +68,26 @@ class TestFunctionalSecureMemory:
         with pytest.raises(IntegrityViolation):
             m.read(4, 4)
 
+    def test_replay_snapshot_of_unwritten_page_is_not_a_tamper(self):
+        """Regression: snapshotting a never-written page used to
+        materialise its counter block behind the tree, so a clean read
+        of a page sharing the leaf raised a tree hash mismatch."""
+        m = FunctionalSecureMemory(64, key=b"k" * 24)
+        m.write(0, 0, block(0x41))
+        capsule = m.adversary_replay(1, 0)
+        assert m.counters.peek(1) is None
+        assert m.read(0, 0) == block(0x41)
+
+    def test_replaying_an_unwritten_snapshot_unmaterialises_the_page(self):
+        m = FunctionalSecureMemory(64, key=b"k" * 24)
+        m.write(0, 0, block(0x41))
+        capsule = m.adversary_replay(1, 0)
+        m.write(1, 0, block(0x42))
+        m.adversary_apply_replay(capsule)
+        assert m.counters.peek(1) is None
+        with pytest.raises(IntegrityViolation):
+            m.read(0, 0)   # the leaf both pages share no longer matches
+
     def test_tampering_one_page_leaves_others_readable(self):
         m = self.make()
         m.write(2, 0, block(0x22))

@@ -81,6 +81,39 @@ class TestModelFaultSensitivity:
                           model_fault="no-such-fault")
 
 
+class TestTreeRootContract:
+    def test_dropped_refresh_is_flagged_as_tree_root_only(self):
+        """A functional tree that silently skips one path refresh keeps
+        a stale root; only the from-scratch rebuild can notice, and the
+        oracle must report exactly that contract."""
+        from repro.experiments.parallel import resolve_engine
+        from repro.sim.config import tiny_config
+        from repro.sim.oracle import DifferentialOracle
+        from repro.workloads.mixes import build_mix
+
+        cfg = tiny_config(n_cores=4)
+        engine = resolve_engine("baseline")(cfg, seed=11)
+        engine.overflow_writes_per_page = 16
+        oracle = DifferentialOracle(cfg, engine, seed=5,
+                                    checkpoint_every=100)
+        tree = oracle.fsm.tree
+        refresh = tree.refresh_path
+        calls = 0
+
+        def drop_50th(counter_block):
+            nonlocal calls
+            calls += 1
+            if calls != 50:
+                refresh(counter_block)
+
+        tree.refresh_path = drop_50th
+        rep = oracle.run(build_mix("S-2", n_accesses=400, seed=5,
+                                   scale=0.05))
+        assert calls > 50
+        assert sorted({d.kind for d in rep.disagreements}) == ["tree-root"]
+        assert not rep.ok
+
+
 class TestOracleReport:
     def test_report_roundtrips_to_dict(self):
         rep = verify_scheme("baseline", "S-1", n_accesses=200, seed=1,
