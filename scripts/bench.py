@@ -79,10 +79,12 @@ def profile_attribution(sc, mixes) -> dict:
     per-phase self-time shares explaining *where* serial cold time goes
     (verify / mac / counter_probe / tree_update / mirage_hash / ...).
 
-    Profiled runs take the instrumented slow path by design (the fused
-    fast path disables itself under a profiler so phase attribution
-    stays complete), so the shares describe the model's work, not the
-    fast path's dispatch overhead.
+    Profiled runs execute the same engine bodies as unprofiled ones;
+    under a profiler the engines bind their instrumented cache and DRAM
+    hooks (the caches' own ``lookup``/``fill``, the controller's
+    ``read``/``write``) so phase attribution stays complete, and the
+    shares describe the model's work, not the fused closures' dispatch
+    cost.
     """
     from repro.experiments.parallel import resolve_engine
     from repro.sim.batched import make_simulator

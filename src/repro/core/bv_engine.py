@@ -48,7 +48,7 @@ class _BVBase(IvLeagueBasicEngine):
     def _bv_charge(self, op: BVOp, now: float) -> float:
         lat = 0.0
         for addr in op.touched_blocks:
-            lat += self._mread(addr, now + lat)
+            lat += self._read_meta(addr, now + lat)
         lat += (op.bits_scanned // 64 + 1) * SCAN_CYCLES_PER_WORD
         return lat
 

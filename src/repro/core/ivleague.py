@@ -16,7 +16,6 @@ from repro.core.domain import IVDomainController
 from repro.core.lmm import LeafMap, LMMCache
 from repro.core.nfl import ChainedNFL, NFLBuffer, NFLOp
 from repro.core.treeling import SlotRef, TreeLingGeometry
-from repro.mem import spaces
 from repro.mem.mirage import make_cache
 from repro.secure.engine import SecureMemoryEngine
 from repro.sim.config import BLOCK_BYTES, MachineConfig, TREE_ARITY
@@ -128,9 +127,9 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                 self.stats.nflb_hits += 1
             else:
                 self.stats.nflb_misses += 1
-                lat += self._mread(addr, now + lat)
+                lat += self._read_meta(addr, now + lat)
             if evicted is not None:
-                self._mwrite(evicted, now + lat)
+                self._write_meta(evicted, now + lat)
         return lat
 
     # -- domain lifecycle -----------------------------------------------------------------
@@ -211,136 +210,86 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
 
     # -- verification -----------------------------------------------------------------------
 
-    def _lmm_lookup(self, pfn: int, now: float) -> tuple[int, float]:
-        """On-chip LMM cache probe; a miss reads the PTE block."""
-        cached = self.lmm_cache.lookup(pfn)
-        if cached is not None:
-            self.stats.lmm_hits += 1
-            if self.tracer.enabled:
-                self.tracer.instant("engine", "lmm_hit", ts=now, pfn=pfn)
-            return cached, self._lmm_hit_lat
-        self.stats.lmm_misses += 1
-        if self.tracer.enabled:
-            self.tracer.instant("engine", "lmm_miss", ts=now, pfn=pfn)
-        lat = self._mread(self.leafmap.pte_block_addr(pfn), now)
-        slot_id = self.leafmap.get(pfn)
-        self.lmm_cache.insert(pfn, slot_id)
-        return slot_id, lat
-
-    def _resolve_slot(self, pfn: int, slot_id: int,
-                      now: float) -> tuple[SlotRef, float]:
+    def _resolve_slot(self, pfn: int, now: float) -> tuple[SlotRef, float]:
         """Follow a stale LMM entry through ``is_parent`` flags
-        (IvLeague-Invert lazy fix-up, Fig. 12c)."""
+        (IvLeague-Invert lazy fix-up, Fig. 12c).  The stale slot became a
+        parent; the hardware reads the old node, sees rho=1 and descends
+        to the child's relocated slot, then rewrites the LMM."""
+        true_slot = self.leafmap.get(pfn)
+        ref = self.geometry.decode_slot(true_slot)
+        node_addr = self.geometry.slot_node_addr(ref)
         lat = 0.0
-        if self.leafmap.is_stale(pfn):
-            # The stale slot became a parent; the hardware reads the old
-            # node, sees rho=1 and descends to the child's relocated slot,
-            # then rewrites the LMM.
-            true_slot = self.leafmap.get(pfn)
-            ref = self.geometry.decode_slot(true_slot)
-            node_addr = self.geometry.slot_node_addr(ref)
-            if not self.tree_cache.lookup(node_addr):
-                lat += self._mread(node_addr, now)
-                self._fill(self.tree_cache, node_addr, now + lat)
-            self.leafmap.clear_stale(pfn)
-            self.lmm_cache.insert(pfn, true_slot)
-            self._mwrite(self.leafmap.pte_block_addr(pfn), now + lat)
-            return ref, lat
-        return self.geometry.decode_slot(slot_id), lat
+        if not self._tree_probe(node_addr):
+            lat += self._read_meta(node_addr, now)
+            wb = self._tree_fill(node_addr)
+            if wb is not None:
+                self._write_meta(wb, now + lat)
+        self.leafmap.clear_stale(pfn)
+        self.lmm_cache.insert(pfn, true_slot)
+        self._write_meta(self.leafmap.pte_block_addr(pfn), now + lat)
+        return ref, lat
 
-    def _verify_path(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        if pfn not in self.leafmap:
-            # Late write-back of a block whose page was already freed: the
-            # slot was reclaimed on free, so there is nothing to verify.
-            return 0.0
-        tracing = self.tracer.enabled
-        ctr_addr = self._ctr_base | pfn
-        if self.counter_cache.lookup(ctr_addr, is_write=for_write):
-            self.stats.counter_hits += 1
-            if tracing:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        self.stats.counter_misses += 1
-        if tracing:
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
-        clock = now
-        slot_id, lmm_lat = self._lmm_lookup(pfn, clock)
-        clock += lmm_lat
-        ref, fix_lat = self._resolve_slot(pfn, slot_id, clock)
-        clock += fix_lat
-        clock += self._mread(ctr_addr, clock)
-        geo = self.geometry
-        visited = 1
-        tree_cache = self.tree_cache
-        for off, addr in enumerate(
-                geo.path_addrs(ref.treeling, ref.level, ref.node_index)):
-            if tree_cache.lookup(addr, is_write=for_write):
-                break  # trusted on-chip copy terminates the walk
-            visited += 1
-            self.stats.tree_node_dram_reads += 1
-            if tracing:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=ref.level + off, addr=addr,
-                                    treeling=ref.treeling)
-            clock += self._mread(addr, clock) + self._hash_lat
-            self._fill(tree_cache, addr, clock, dirty=for_write)
-        # level > height: verified against the locked (on-chip) parent of
-        # the TreeLing root -- no in-memory sharing with other domains.
-        self._record_path(domain, visited)
-        self._fill(self.counter_cache, ctr_addr, clock, dirty=for_write)
-        return clock - now
-
-    def _verify_fast(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        """Bit-identical fast form of :meth:`_verify_path`.
+    def _verify(self, domain: int, pfn: int, now: float,
+                for_write: bool) -> float:
+        """Counter fetch, LMM probe, then the TreeLing walk up to the
+        first cached node (at the latest the locked on-chip parent of
+        the TreeLing root -- no in-memory sharing with other domains).
 
         The dynamic page-to-slot mapping means the path is *not* pure in
         the PFN -- but the LMM probe must run on every counter miss
         anyway (its hit/miss stats, LRU state and PTE reads are
         observables), and it yields the current slot id.  The path memo
-        is therefore keyed by the *resolved slot id*, of which the
-        address list is a pure function, so TreeLing churn, Invert
-        conversions and Pro migrations need no invalidation hooks: a
-        remapped page simply resolves to a different (memoized) slot.
-        Stale mappings take the instrumented ``_resolve_slot`` fix-up,
-        which is rare and already bit-identical with the tracer off.
+        is therefore keyed by the *resolved slot id*, of which the slot
+        and its address list are pure functions, so TreeLing churn,
+        Invert conversions and Pro migrations need no invalidation
+        hooks: a remapped page simply resolves to a different (memoized)
+        slot.  Stale mappings take the ``_resolve_slot`` fix-up first.
         """
         if pfn not in self.leafmap:
-            # Late write-back of a block whose page was already freed.
+            # Late write-back of a block whose page was already freed: the
+            # slot was reclaimed on free, so there is nothing to verify.
             return 0.0
         ctr_addr = self._ctr_base | pfn
         stats = self.stats
+        instrumented = self._instrumented
         if self._ctr_probe(ctr_addr, for_write):
             stats.counter_hits += 1
+            if instrumented:
+                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
+        if instrumented:
+            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
         clock = now
         read_meta = self._read_meta
-        # Inlined _lmm_lookup (tracer off).
+        # On-chip LMM cache probe; a miss reads the PTE block.
         cached = self.lmm_cache.lookup(pfn)
         if cached is not None:
             stats.lmm_hits += 1
+            if instrumented:
+                self.tracer.instant("engine", "lmm_hit", ts=clock, pfn=pfn)
             slot_id = cached
             clock += self._lmm_hit_lat
         else:
             stats.lmm_misses += 1
+            if instrumented:
+                self.tracer.instant("engine", "lmm_miss", ts=clock, pfn=pfn)
             clock += read_meta(self.leafmap.pte_block_addr(pfn), clock)
             slot_id = self.leafmap.get(pfn)
             self.lmm_cache.insert(pfn, slot_id)
         geo = self.geometry
         if self.leafmap.is_stale(pfn):
-            ref, fix_lat = self._resolve_slot(pfn, slot_id, clock)
+            ref, fix_lat = self._resolve_slot(pfn, clock)
             clock += fix_lat
-            paddrs = geo.path_addrs(ref.treeling, ref.level,
-                                    ref.node_index)
+            paddrs = geo.path_addrs(ref.treeling, ref.level, ref.node_index)
         else:
-            paddrs = self._path_memo.get(slot_id)
-            if paddrs is None:
+            rec = self._path_memo.get(slot_id)
+            if rec is None:
                 ref = geo.decode_slot(slot_id)
-                paddrs = self._path_memo[slot_id] = geo.path_addrs(
-                    ref.treeling, ref.level, ref.node_index)
-                self.tree_cache.prime_candidates(paddrs)
+                rec = self._path_memo[slot_id] = (ref, geo.path_addrs(
+                    ref.treeling, ref.level, ref.node_index))
+                self.tree_cache.prime_candidates(rec[1])
+            ref, paddrs = rec
         clock += read_meta(ctr_addr, clock)
         visited = 1
         tree_probe = self._tree_probe
@@ -349,9 +298,13 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         hash_lat = self._hash_lat
         for addr in paddrs:
             if tree_probe(addr, for_write):
-                break
+                break  # trusted on-chip copy terminates the walk
             visited += 1
             stats.tree_node_dram_reads += 1
+            if instrumented:
+                self.tracer.instant("tree", "node", ts=clock,
+                                    level=ref.level + visited - 2,
+                                    addr=addr, treeling=ref.treeling)
             clock += read_meta(addr, clock) + hash_lat
             wb = tree_fill(addr, for_write)
             if wb is not None:

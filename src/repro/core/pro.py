@@ -148,14 +148,15 @@ class IvLeagueProEngine(IvLeagueInvertEngine):
         # Copy the hash: read the old node (if not on-chip), write the
         # new one -- both posted, off the critical path.
         old_addr = geo.slot_node_addr(geo.decode_slot(old_sid))
-        if not self.tree_cache.lookup(old_addr):
-            self._mread(old_addr, now + lat)
-        self._mwrite(geo.slot_node_addr(geo.decode_slot(new_sid)), now + lat)
+        if not self._tree_probe(old_addr):
+            self._read_meta(old_addr, now + lat)
+        self._write_meta(geo.slot_node_addr(geo.decode_slot(new_sid)),
+                         now + lat)
         self._slot_pfn.pop(old_sid, None)
         self._slot_pfn[new_sid] = pfn
         self.leafmap.set(pfn, new_sid)
         self.lmm_cache.insert(pfn, new_sid)
-        self._mwrite(self.leafmap.pte_block_addr(pfn), now + lat)
+        self._write_meta(self.leafmap.pte_block_addr(pfn), now + lat)
         src_chain = self._free_chain_for(domain, old_node)
         fop = src_chain.free(old_node, old_slot)
         self._nfl_charge(domain, fop.touched_blocks, now + lat)

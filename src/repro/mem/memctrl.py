@@ -124,8 +124,8 @@ class MemoryController:
         classification is static per closure, so the ``_METADATA_BASE``
         compare disappears from the per-request path.  The arithmetic is
         the same IEEE sequence as :meth:`DRAM.read`/:meth:`DRAM.write`,
-        and every counter/histogram update matches ``read``/``write`` +
-        the engine's ``_mread``/``_mwrite`` attribution bit for bit.
+        and every counter/histogram update matches ``read``/``write``
+        plus the engine's dram_* attribution bit for bit.
         """
         dram = self.dram
         memo_get = dram._br_memo.get

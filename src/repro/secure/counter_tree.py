@@ -165,34 +165,18 @@ class SgxCounterTreeEngine(BaselineEngine):
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
         super().__init__(config, seed)
 
-    def _verify_path(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        lat = super()._verify_path(domain, pfn, now, for_write)
+    def _verify(self, domain: int, pfn: int, now: float,
+                for_write: bool) -> float:
+        lat = super()._verify(domain, pfn, now, for_write)
         if for_write:
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
-                prof.push("tree_update")
-            # counter-tree write: the path's nodes are dirtied up to the
+            instrumented = self._instrumented
+            if instrumented:
+                self.profiler.push("tree_update")
+            # Counter-tree write: the path's nodes are dirtied up to the
             # first cached level (they hold incremented counters now).
-            # ``touch_dirty`` is the single-probe fusion of the old
-            # ``contains`` + ``lookup(is_write=True)`` pair -- identical
-            # stats, LRU and dirty-bit effects, one dict probe per node
-            # instead of two.
-            for addr in self.geo.path_addrs(pfn):
-                if self.tree_cache.touch_dirty(addr):
-                    break
-                self._fill(self.tree_cache, addr, now + lat, dirty=True)
-            if profiling:
-                prof.pop()
-        return lat
-
-    def _verify_fast(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        lat = super()._verify_fast(domain, pfn, now, for_write)
-        if for_write:
-            # The baseline fast path built the memo entry above even on
-            # a counter hit, so the dirty write walk reuses it.
+            # ``touch_dirty`` probes each node once (contains + dirty
+            # lookup fused).  The baseline walk built the memo entry
+            # even on a counter hit, so this walk reuses it.
             fill_at = now + lat
             touch = self.tree_cache.touch_dirty
             tree_fill = self._tree_fill
@@ -203,4 +187,6 @@ class SgxCounterTreeEngine(BaselineEngine):
                 wb = tree_fill(addr, True)
                 if wb is not None:
                     write_meta(wb, fill_at)
+            if instrumented:
+                self.profiler.pop()
         return lat

@@ -76,7 +76,13 @@ class StaticPartitionEngine(SecureMemoryEngine):
 
     # -- verification ---------------------------------------------------------------
 
-    def _check_containment(self, domain: int, pfn: int) -> int:
+    def data_access(self, domain: int, pfn: int, block_in_page: int,
+                    is_write: bool, now: float) -> float:
+        """Containment is checked on the domain's own accesses only (the
+        overflow failure the Fig. 22 analysis counts).  A dirty block of
+        a freed page can be written back long after, charged to
+        whichever domain's fill evicted it; its walk still covers the
+        partition the page lives in."""
         part = self._partition_of.get(domain)
         if part is None:
             raise KeyError(f"domain {domain} was never started")
@@ -85,57 +91,21 @@ class StaticPartitionEngine(SecureMemoryEngine):
             raise PartitionOverflow(
                 f"domain {domain} touched pfn {pfn} outside its "
                 f"partition [{lo}, {lo + self.pages_per_partition})")
-        return pfn - lo
+        return super().data_access(domain, pfn, block_in_page, is_write,
+                                   now)
 
-    def _verify_path(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        tracing = self.tracer.enabled
-        local_page = self._check_containment(domain, pfn)
-        part = self._partition_of[domain]
-        ctr_addr = self.sub_geo.counter_addr(pfn)
-        if self.counter_cache.lookup(ctr_addr, is_write=for_write):
-            self.stats.counter_hits += 1
-            if tracing:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        self.stats.counter_misses += 1
-        if tracing:
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn,
-                                partition=part)
-        clock = now
-        clock += self._mread(ctr_addr, clock)
-        visited = 1
-        offset = (part + 1) << 40  # per-partition node address region
-        tree_cache = self.tree_cache
-        for level, base in enumerate(
-                self.sub_geo.path_addrs(local_page), start=1):
-            addr = base + offset
-            if tree_cache.lookup(addr, is_write=for_write):
-                break  # verified against an on-chip copy (or the root)
-            visited += 1
-            self.stats.tree_node_dram_reads += 1
-            if tracing:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=level, addr=addr,
-                                    partition=part)
-            clock += self._mread(addr, clock) + self._hash_lat
-            self._fill(tree_cache, addr, clock, dirty=for_write)
-        self._record_path(domain, visited)
-        self._fill(self.counter_cache, ctr_addr, clock, dirty=for_write)
-        return clock - now
-
-    def _verify_fast(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        """Fast form of :meth:`_verify_path`.  The memo is keyed by PFN
-        alone: the containment check (still enforced per access -- it is
-        the overflow failure the Fig. 22 analysis counts) guarantees
-        ``part == pfn // pages_per_partition``, so the counter address
-        and the offset tree path are pure in the PFN regardless of how
-        partitions are later reassigned across domains."""
-        local_page = self._check_containment(domain, pfn)
+    def _verify(self, domain: int, pfn: int, now: float,
+                for_write: bool) -> float:
+        """Walk of the partition subtree holding ``pfn``.  The partition
+        is the chunk the page was allocated from,
+        ``pfn // pages_per_partition``, so the counter address and the
+        offset tree path are pure in the PFN and memoized by it,
+        regardless of how partitions are later reassigned across
+        domains."""
         rec = self._path_memo.get(pfn)
         if rec is None:
-            offset = (self._partition_of[domain] + 1) << 40
+            part, local_page = divmod(pfn, self.pages_per_partition)
+            offset = (part + 1) << 40  # per-partition node address region
             paddrs = [base + offset
                       for base in self.sub_geo.path_addrs(local_page)]
             self.tree_cache.prime_candidates(paddrs)
@@ -143,10 +113,17 @@ class StaticPartitionEngine(SecureMemoryEngine):
                 self.sub_geo.counter_addr(pfn), paddrs)
         ctr_addr = rec[0]
         stats = self.stats
+        instrumented = self._instrumented
         if self._ctr_probe(ctr_addr, for_write):
             stats.counter_hits += 1
+            if instrumented:
+                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
+        if instrumented:
+            part = pfn // self.pages_per_partition
+            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn,
+                                partition=part)
         read_meta = self._read_meta
         clock = now + read_meta(ctr_addr, now)
         visited = 1
@@ -156,9 +133,13 @@ class StaticPartitionEngine(SecureMemoryEngine):
         hash_lat = self._hash_lat
         for addr in rec[1]:
             if tree_probe(addr, for_write):
-                break
+                break  # verified against an on-chip copy (or the root)
             visited += 1
             stats.tree_node_dram_reads += 1
+            if instrumented:
+                self.tracer.instant("tree", "node", ts=clock,
+                                    level=visited - 1, addr=addr,
+                                    partition=part)
             clock += read_meta(addr, clock) + hash_lat
             wb = tree_fill(addr, for_write)
             if wb is not None:

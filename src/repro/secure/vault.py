@@ -145,6 +145,6 @@ class VaultEngine(BaselineEngine):
             if self.tracer.enabled:
                 self.tracer.instant("tree", "vault_overflow", ts=now,
                                     node=addr)
-            self._mread(addr, now)
-            self._mwrite(addr, now)
+            self._read_meta(addr, now)
+            self._write_meta(addr, now)
         self._node_writes[addr] = writes

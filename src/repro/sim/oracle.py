@@ -180,7 +180,7 @@ class _Expected:
     reads: int = 0
     writes: int = 0
     writebacks: int = 0
-    #: calls into ``_verify_path`` == counter-cache accesses
+    #: calls into ``_verify`` == counter-cache accesses
     verify_calls: int = 0
     allocs: int = 0
     frees: int = 0
@@ -265,7 +265,7 @@ class DifferentialOracle:
     # -- model-fault installation ------------------------------------------------
 
     def _install_skip_verify(self) -> None:
-        original = self.engine._verify_path
+        original = self.engine._verify
 
         def faulty(domain, pfn, now, for_write):
             self._verify_no += 1
@@ -273,7 +273,7 @@ class DifferentialOracle:
                 return 0.0   # no counter fetch, no walk, no accounting
             return original(domain, pfn, now, for_write)
 
-        self.engine._verify_path = faulty
+        self.engine._verify = faulty
 
     # -- fault/tracer plumbing ----------------------------------------------------
 
@@ -313,7 +313,7 @@ class DifferentialOracle:
             ev = self.engine.counter_cache.fill(
                 spaces.tag(spaces.COUNTER, pfn))
             if ev is not None and ev.dirty:
-                self.engine._mwrite(ev.addr, self.now)
+                self.engine._write_meta(ev.addr, self.now)
         return pfn
 
     def _free_page(self, domain: int, vpage: int) -> None:

@@ -82,6 +82,34 @@ class TestStaticPartition:
         with pytest.raises(PartitionOverflow):
             e.data_access(1, hi, 0, False, 0.0)   # one past the end
 
+    def test_access_into_another_partition_rejected_before_charging(
+            self, tiny):
+        """A domain's own access outside its chunk still raises, before
+        any data, MAC or metadata traffic is charged."""
+        e = StaticPartitionEngine(tiny, n_partitions=4)
+        e.on_domain_start(1)
+        e.on_domain_start(2)
+        lo1, _ = e.frame_range(1)
+        with pytest.raises(PartitionOverflow):
+            e.data_access(2, lo1, 0, False, 0.0)
+        assert e.stats.data_reads == 0
+        assert e.mc.traffic.total == 0
+
+    def test_late_writeback_walks_the_pages_own_partition(self, tiny):
+        """A dirty block of a freed page is written back on behalf of
+        whichever domain evicted it; the walk must cover the subtree of
+        the partition holding the page, not raise."""
+        e = StaticPartitionEngine(tiny, n_partitions=4)
+        e.on_domain_start(1)
+        e.on_domain_start(2)
+        lo1, _ = e.frame_range(1)
+        e.handle_writeback(2, lo1, 0, 0.0)
+        assert e.stats.verifications == 1
+        region = e.partition_of(1) + 1       # per-partition node region
+        tree_blocks = list(e.tree_cache.blocks())
+        assert tree_blocks
+        assert {(addr >> 40) & 0xFF for addr in tree_blocks} == {region}
+
     def test_partitions_exhausted(self, tiny):
         e = StaticPartitionEngine(tiny, n_partitions=2)
         e.on_domain_start(1)
@@ -303,7 +331,7 @@ ALL_SCHEMES = ["baseline", "vault", "sgx-counter-tree", "static-partition",
 class TestOverflowCharging:
     """Minor-counter overflow must charge, in *every* engine: the
     re-encrypt data burst, the counter write-back, and the dirty
-    tree-path update (one extra ``_verify_path`` call)."""
+    tree-path update (one extra ``_verify`` call)."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_overflow_charges_metadata_and_tree_update(self, tiny, scheme):

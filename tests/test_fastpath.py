@@ -1,11 +1,11 @@
 """Fast-path vs generic-path equivalence.
 
-PR 9 adds pre-bound monomorphic probe/fill closures to the cache models
+The cache models offer pre-bound monomorphic probe/fill closures
 (``bind_fast_probe`` / ``bind_fast_fill``), a fused ``touch_dirty``
-probe, batched MIRAGE candidate hashing (``prime_candidates``) and a
-fused engine metadata path (``_verify_fast`` + memoized walk
-addresses).  All of them promise *bit-identical* behaviour to the
-generic instrumented code in every observable: hit/miss outcomes, LRU
+probe and batched MIRAGE candidate hashing (``prime_candidates``).
+The engines bind the closures when tracing and profiling are off and
+the caches' own ``lookup``/``fill`` otherwise, so both forms promise
+*bit-identical* behaviour in every observable: hit/miss outcomes, LRU
 order, dirty bits, victims, stats and latencies.  This suite drives the
 fast and generic forms in lockstep and compares the full state:
 
@@ -17,11 +17,14 @@ fast and generic forms in lockstep and compares the full state:
   included);
 * ``touch_dirty`` must equal the ``contains`` + ``lookup(is_write=True)``
   pair it fused (the SGX counter-tree dirty-walk regression);
-* every engine in the registry must produce identical results with
-  ``use_fast_path`` on and off.
+* every engine in the registry must produce identical results with the
+  fused hooks and with the instrumented hooks a tracer binds
+  (``tests/test_golden.py`` pins both against committed digests).
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -29,7 +32,9 @@ from repro.experiments.parallel import resolve_engine
 from repro.mem.cache import Cache
 from repro.mem.mirage import MirageCache
 from repro.sim.config import CacheConfig, tiny_config
+from repro.sim.profiler import PhaseProfiler
 from repro.sim.simulator import Simulator
+from repro.sim.trace import EventTracer
 from repro.workloads.mixes import build_mix
 
 from tests.test_batched import ALL_NINE
@@ -182,7 +187,6 @@ def test_sgx_dirty_walk_probes_each_node_once():
     ``touch_dirty`` per node and stops at the first cached level."""
     eng = resolve_engine("sgx-counter-tree")(tiny_config(n_cores=2),
                                              seed=11)
-    eng.use_fast_path = False        # pin the instrumented _verify_path
     tc = eng.tree_cache
     calls = {"touch": 0, "contains": 0}
     orig_touch = tc.touch_dirty
@@ -212,15 +216,16 @@ def test_sgx_dirty_walk_probes_each_node_once():
     assert calls["contains"] == 0
 
 
-def _run_engine(scheme, fast, mix="M-2", n_accesses=400, seed=3,
+def _run_engine(scheme, traced, mix="M-2", n_accesses=400, seed=3,
                 warmup=100):
-    """test_batched's harness, but comparing the engine's own fast and
-    instrumented paths on the scalar core (the batched-vs-scalar axis is
-    test_batched's job)."""
+    """test_batched's harness on the scalar core, comparing the engine's
+    two hook bindings (the batched-vs-scalar axis is test_batched's
+    job).  A tracer installed on the engine alone binds the instrumented
+    hooks while the simulator keeps its untraced loop."""
     cfg = tiny_config(n_cores=4)
     engine = resolve_engine(scheme)(cfg, seed=11)
-    if not fast:
-        engine.use_fast_path = False
+    if traced:
+        engine.set_tracer(EventTracer(limit=1))
     workload = build_mix(mix, n_accesses=n_accesses, seed=seed, scale=0.05)
     frame_policy = ("sequential" if scheme.startswith("static-partition")
                     else "fragmented")
@@ -232,47 +237,38 @@ def _run_engine(scheme, fast, mix="M-2", n_accesses=400, seed=3,
 
 @pytest.mark.parametrize("scheme", ALL_NINE)
 def test_engine_fast_path_bit_identical(scheme):
-    """Every engine: ``use_fast_path`` on vs off yields equal results,
-    registry snapshots and histogram buckets."""
-    f_res, f_reg, f_hist = _run_engine(scheme, fast=True)
-    s_res, s_reg, s_hist = _run_engine(scheme, fast=False)
-    assert f_reg == s_reg
-    assert f_hist == s_hist, "per-class latency histogram buckets differ"
-    assert f_res == s_res
+    """Every engine: fused and instrumented hook bindings of the one
+    walk yield equal results, registry snapshots and histogram
+    buckets."""
+    f_res, f_reg, f_hist = _run_engine(scheme, traced=False)
+    t_res, t_reg, t_hist = _run_engine(scheme, traced=True)
+    assert f_reg == t_reg
+    assert f_hist == t_hist, "per-class latency histogram buckets differ"
+    assert f_res == t_res
 
 
-def test_override_without_fast_walk_keeps_instrumented_path():
-    """An engine subclass that overrides ``_verify_path`` without
-    supplying the matching ``_verify_fast`` must never take the fast
-    path (it would silently run the parent's walk semantics)."""
-    from repro.secure.engine import BaselineEngine
-
-    class Overridden(BaselineEngine):
-        name = "overridden"
-
-        def _verify_path(self, domain, pfn, now, for_write):
-            return super()._verify_path(domain, pfn, now, for_write)
-
-    eng = Overridden(tiny_config(n_cores=2), seed=11)
-    assert not eng._fast_ok
-    base = resolve_engine("baseline")(tiny_config(n_cores=2), seed=11)
-    assert base._fast_ok
-
-
-def test_instance_verify_patch_routes_through_slow_path():
-    """The differential oracle patches ``_verify_path`` on instances
-    (fault injection); the gate must honour such patches."""
-    eng = resolve_engine("baseline")(tiny_config(n_cores=2), seed=11)
-    calls = []
-    orig = eng._data_access_slow
-
-    def counting_slow(*args):
-        calls.append(args)
-        return orig(*args)
-
-    eng._data_access_slow = counting_slow
-    eng.data_access(0, 3, 0, False, 0.0)
-    assert not calls, "untraced engine should take the fast path"
-    eng._verify_path = eng._verify_path      # instance-level shadow
-    eng.data_access(0, 3, 1, False, 0.0)
-    assert calls, "instance _verify_path patch must force the slow path"
+@pytest.mark.parametrize("scheme", ALL_NINE)
+def test_bound_hooks_leave_no_reference_cycle(scheme):
+    """The hooks close over the controller, the stats and the caches,
+    never over the engine: a used engine is freed by reference counting
+    alone, with each binding (an engine kept alive until a full cycle
+    collection inflates the peak memory of oracle replays)."""
+    installs = (lambda e: None,
+                lambda e: e.set_tracer(EventTracer(limit=8)),
+                lambda e: e.set_profiler(PhaseProfiler()))
+    gc.disable()
+    try:
+        for install in installs:
+            engine = resolve_engine(scheme)(tiny_config(n_cores=2), seed=11)
+            install(engine)
+            engine.on_domain_start(1)
+            pfn = (engine.frame_range(1)[0]
+                   if hasattr(engine, "frame_range") else 5)
+            engine.on_page_alloc(1, pfn, 0.0)
+            engine.data_access(1, pfn, 0, True, 0.0)
+            engine.handle_writeback(1, pfn, 0, 10.0)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+    finally:
+        gc.enable()

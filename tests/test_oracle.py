@@ -35,9 +35,12 @@ class TestModelFaultSensitivity:
     """A differential harness that cannot catch an injected engine bug
     would silently certify broken engines."""
 
+    @pytest.mark.parametrize("scheme", DEFAULT_SCHEMES)
     @pytest.mark.parametrize("fault", MODEL_FAULTS)
-    def test_fault_is_flagged(self, fault):
-        rep = verify_scheme("baseline", "S-2", n_accesses=400, seed=5,
+    def test_fault_is_flagged(self, fault, scheme):
+        """Every engine: ``skip-verify`` wraps the instance's ``_verify``,
+        so it also proves each engine's walk honours the wrapper."""
+        rep = verify_scheme(scheme, "S-2", n_accesses=400, seed=5,
                             checkpoint_every=100,
                             overflow_writes_per_page=16,
                             model_fault=fault)
