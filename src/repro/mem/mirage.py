@@ -56,6 +56,11 @@ class MirageCache(Cache):
     # Two candidate skews; an address lives in exactly one set, chosen at
     # fill time by load (power of two choices), remembered via lookup in
     # both candidates.
+    def _skews(self, addr: int) -> tuple[int, int]:
+        """Both keyed skew indices of ``addr`` (two splitmix64s)."""
+        return (_mix(addr, self._key0) % self.n_sets,
+                _mix(addr, self._key1) % self.n_sets)
+
     def _candidates(self, addr: int) -> tuple[int, int]:
         cand = self._cand.get(addr)
         if cand is None:
@@ -66,22 +71,19 @@ class MirageCache(Cache):
             profiling = prof.enabled
             if profiling:
                 prof.push("mirage_hash")
-            cand = self._cand[addr] = (
-                _mix(addr, self._key0) % self.n_sets,
-                _mix(addr, self._key1) % self.n_sets)
+            cand = self._cand[addr] = self._skews(addr)
             if profiling:
                 prof.pop()
         return cand
 
     def prime_candidates(self, addrs) -> None:
-        """Batch-hash the skew candidates for every address in ``addrs``
-        that is not memoized yet.
+        """Memoize the skew candidates of every address in ``addrs``
+        that is not memoized yet (a verify walk's path, once per memo
+        entry), in one ``mirage_hash`` phase when any is missing.
 
-        The per-address path computes two splitmix64 finalisers in pure
-        Python; resolving a whole verification path (or any other known
-        address batch) at once lets numpy vectorise the mixing.  uint64
-        arithmetic wraps exactly like the ``& 0xFFFF...`` masking of
-        :func:`_mix`, so the memoized values are identical ints.
+        A walk misses only a handful of addresses, for which the plain
+        splitmix64 of :meth:`_candidates` is cheaper than setting up a
+        numpy batch.
         """
         cand = self._cand
         missing = [a for a in addrs if a not in cand]
@@ -91,19 +93,8 @@ class MirageCache(Cache):
         profiling = prof.enabled
         if profiling:
             prof.push("mirage_hash")
-        n_sets = np.uint64(self.n_sets)
-        base = np.asarray(missing, dtype=np.uint64)
-
-        def mixed(key: int) -> list:
-            z = base + np.uint64(key)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return ((z ^ (z >> np.uint64(31))) % n_sets).tolist()
-
-        with np.errstate(over="ignore"):
-            for addr, a, b in zip(missing, mixed(self._key0),
-                                  mixed(self._key1)):
-                cand[addr] = (a, b)
+        for addr in missing:
+            cand[addr] = self._skews(addr)
         if profiling:
             prof.pop()
 

@@ -59,8 +59,10 @@ class CounterModeCipher:
         self._key = key
 
     def encrypt(self, plaintext: bytes, seed: EncryptionSeed) -> bytes:
-        pad = one_time_pad(self._key, seed.to_bytes(), len(plaintext))
-        return bytes(p ^ q for p, q in zip(plaintext, pad))
+        n = len(plaintext)
+        pad = one_time_pad(self._key, seed.to_bytes(), n)
+        return (int.from_bytes(plaintext, "little")
+                ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
     # XOR is an involution.
     decrypt = encrypt

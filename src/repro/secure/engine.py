@@ -62,12 +62,26 @@ def _controller_ops(mc: MemoryController, stats: EngineStats):
     return read_data, read_meta, write_data, write_meta
 
 
+def _observed_probe(probe, observer):
+    """``probe`` that also reports ``(addr, hit)`` to ``observer`` after
+    every call; closes over the two, never over the engine."""
+    def observed(addr: int, is_write: bool = False) -> bool:
+        hit = probe(addr, is_write)
+        observer(addr, hit)
+        return hit
+    return observed
+
+
 class SecureMemoryEngine(ABC):
     """Base class: owns DRAM, metadata caches and shared accounting."""
 
     name = "abstract"
     tracer = NULL_TRACER
     profiler = NULL_PROFILER
+    #: ``observer(addr, hit)`` called after every counter-cache probe,
+    #: whichever probe is bound (set by the differential oracle, which
+    #: then rebinds the hooks).
+    counter_observer = None
 
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
         self.config = config
@@ -132,12 +146,15 @@ class SecureMemoryEngine(ABC):
     # fault-injected runs execute the body the figures come from.  Only
     # instrumentation that needs walk-local values (counter, tree-node,
     # LMM and MAC events, the engine span, the verify/mac phases) stays
-    # in the bodies, behind one ``_instrumented`` read per call.
+    # in the bodies, behind one ``_instrumented`` read per call.  A
+    # ``counter_observer`` wraps the counter probe of either binding, so
+    # the oracle sees every probed counter address on the fused path.
 
     def _bind_hooks(self) -> None:
-        """(Re)bind the metadata hooks for the installed tracer and
-        profiler.  The hooks close over the controller, the stats and
-        the caches, never over the engine."""
+        """(Re)bind the metadata hooks for the installed tracer,
+        profiler and counter observer.  The hooks close over the
+        controller, the stats, the caches and the observer, never over
+        the engine."""
         caches = (self.mac_cache, self.counter_cache, self.tree_cache)
         self._instrumented = self.tracer.enabled or self.profiler.enabled
         if self._instrumented:
@@ -150,7 +167,10 @@ class SecureMemoryEngine(ABC):
             fills = [cache.bind_fast_fill() for cache in caches]
         (self._read_data, self._read_meta, self._write_data,
          self._write_meta) = ops
-        self._mac_probe, self._ctr_probe, self._tree_probe = probes
+        self._mac_probe, ctr_probe, self._tree_probe = probes
+        if self.counter_observer is not None:
+            ctr_probe = _observed_probe(ctr_probe, self.counter_observer)
+        self._ctr_probe = ctr_probe
         self._mac_fill, self._ctr_fill, self._tree_fill = fills
 
     # -- statistics registration ---------------------------------------------------

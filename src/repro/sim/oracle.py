@@ -13,12 +13,15 @@ lockstep and asserts, at configurable checkpoints, that they agree:
   oracle's independent prediction, and structural identities like
   ``verifications == counter_misses`` must hold;
 * **metadata-touch sets** -- the set of pages whose counter block the
-  engine touched in a window (harvested from tracer events) must equal
-  the set the stream touched, and no page may *hit* the counter cache
-  before it ever missed (cold-start soundness);
-* **functional state digests** -- the functional counter store must
-  match a shadow store driven only by the stream, and the stored tree
-  root must match a from-scratch recomputation over the counters;
+  engine probed in a window must equal the set the stream touched, and
+  no page may *hit* the counter cache before it ever missed (cold-start
+  soundness).  The pages come from the probed addresses themselves,
+  reported by the engine's ``counter_observer`` on the same fused
+  probe/fill and DRAM hooks every figure runs (the oracle installs no
+  tracer); a probe outside the counter space is a disagreement too;
+* **functional state** -- the functional counter store must equal a
+  shadow store driven only by the stream, and the stored tree root
+  must match a from-scratch recomputation over the counters;
 * **registry invariants** -- every conservation law the engine registers
   (:mod:`repro.sim.registry`) is re-checked per window.
 
@@ -33,7 +36,6 @@ write-back would silently certify broken engines.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -63,6 +65,10 @@ FUNCTIONAL_KEY = b"ivleague-functional-key!"
 #:                        first access *hits* on a stale line.
 MODEL_FAULTS = ("drop-writeback", "skip-verify", "missed-reencrypt",
                 "stale-counter-fill")
+
+#: The counter address space: ``COUNTER | pfn`` for every page.
+_COUNTER_BASE = spaces.COUNTER << spaces.SPACE_SHIFT
+_SPACE_BLOCKS = 1 << spaces.SPACE_SHIFT
 
 #: Every engine: the paper's four (baseline BMT and the three IvLeague
 #: variants), the two bit-vector NFL allocators, and the SGX counter
@@ -125,49 +131,43 @@ class OracleReport:
 
 
 class ProbeTracer:
-    """Tracer that harvests the per-window evidence the oracle checks.
+    """The per-window evidence the oracle checks.
 
-    ``enabled`` is True so every instrumentation site emits; span
-    methods are no-ops -- only instants carry what the oracle needs:
-    which pages' counter blocks the engine touched, and whether any
-    page *hit* the counter cache before its first miss (a hit with no
-    prior fill can only come from stale state).
+    :meth:`counter` is installed as the engine's ``counter_observer`` and
+    sees every counter-cache probe with its address and outcome.  It
+    records which pages' counter blocks the engine touched, reading the
+    page off the probed ``COUNTER | pfn`` address rather than trusting
+    what the engine reports, and which pages *hit* the counter cache
+    before their first miss (a hit with no prior fill can only come from
+    stale state).  :meth:`instant` collects the fault-campaign events.
     """
-
-    enabled = True
-    cur_tid = 0
-    clock = 0.0
 
     def __init__(self) -> None:
         #: counter-block pfns touched since the last checkpoint
         self.window_counter_pfns: set[int] = set()
         #: pfns that hit the counter cache before ever missing
         self.stale_hit_pfns: list[int] = []
+        #: counter-cache probes outside the counter address space
+        self.foreign_addrs: list[int] = []
         #: fault-campaign events (kept for report assembly/debugging)
         self.fault_events: list[tuple[str, dict]] = []
         self._cold_missed: set[int] = set()
 
-    def begin(self, cat, name, ts=None, **args) -> None:
-        pass
-
-    def end(self, cat, name, ts=None) -> None:
-        pass
-
-    def complete(self, cat, name, ts, dur, **args) -> None:
-        pass
+    def counter(self, addr: int, hit: bool) -> None:
+        """Observe one counter-cache probe of ``addr``."""
+        pfn = addr - _COUNTER_BASE
+        if not 0 <= pfn < _SPACE_BLOCKS:
+            self.foreign_addrs.append(addr)
+            return
+        self.window_counter_pfns.add(pfn)
+        if not hit:
+            self._cold_missed.add(pfn)
+        elif pfn not in self._cold_missed:
+            self.stale_hit_pfns.append(pfn)
 
     def instant(self, cat, name, ts=None, **args) -> None:
-        if cat == "tree" and name in ("counter_hit", "counter_miss"):
-            pfn = args.get("pfn")
-            if pfn is None:
-                return
-            self.window_counter_pfns.add(pfn)
-            if name == "counter_miss":
-                self._cold_missed.add(pfn)
-            elif pfn not in self._cold_missed:
-                self.stale_hit_pfns.append(pfn)
-        elif cat == "fault":
-            self.fault_events.append((name, dict(args)))
+        """Record one fault-campaign event (from ``emit_fault``)."""
+        self.fault_events.append((name, args))
 
     def new_window(self) -> None:
         self.window_counter_pfns = set()
@@ -196,7 +196,10 @@ class DifferentialOracle:
     ``handle_writeback`` per write, page lifecycle via a real
     :class:`FrameAllocator`), so every engine counter is an exact
     function of the stream and any divergence is an engine bug, not
-    timing noise.
+    timing noise.  Attaching installs only the engine's
+    ``counter_observer``; the engine keeps its tracer and profiler
+    (none by default), so a replay runs the fused hooks the figures
+    come from.
     """
 
     def __init__(self, config: MachineConfig, engine, *,
@@ -216,7 +219,8 @@ class DifferentialOracle:
         self._extra_tracer = extra_tracer
 
         self.probe = ProbeTracer()
-        engine.set_tracer(self.probe)
+        engine.counter_observer = self.probe.counter
+        engine._bind_hooks()
         self.registry = StatsRegistry()
         engine.register_stats(self.registry)
         self.faults = FaultStats()
@@ -446,20 +450,6 @@ class DifferentialOracle:
 
     # -- checkpoints ----------------------------------------------------------------
 
-    @staticmethod
-    def _counter_digest(store: CounterStore) -> str:
-        """Canonical digest of every *materialised* counter block.
-
-        Iterates the store's own keys (never ``block()``) so digesting
-        cannot materialise blocks as a side effect -- lazily-zero pages
-        must keep hashing to the tree's canonical zero hash.
-        """
-        h = hashlib.sha256()
-        for page in sorted(store._blocks):
-            h.update(page.to_bytes(8, "little"))
-            h.update(store.serialize(page))
-        return h.hexdigest()
-
     def _recompute_root(self) -> bytes:
         """Tree root rebuilt from scratch over the functional counters:
         a fresh tree hashes bottom-up from the counter store alone, so
@@ -509,12 +499,20 @@ class DifferentialOracle:
             self._flag("stale-counter-hit",
                        f"counter cache hit before first fill for "
                        f"pfns {pfns}")
+        if probe.foreign_addrs:
+            addrs = [hex(a) for a in probe.foreign_addrs[:8]]
+            probe.foreign_addrs = []
+            self._flag("counter-space",
+                       f"counter cache probed outside the counter "
+                       f"space at {addrs}")
         try:
             self.registry.check_invariants()
         except InvariantViolation as exc:
             self._flag("registry-invariant", str(exc))
-        if self._counter_digest(self.fsm.counters) \
-                != self._counter_digest(self.shadow):
+        # Compares the materialised blocks exactly and never calls
+        # ``block()``, which would materialise a lazily zero page (an
+        # all-zero block is not an absent one to the tree).
+        if self.fsm.counters._blocks != self.shadow._blocks:
             self._flag("counter-digest",
                        "functional counter store diverged from the "
                        "stream-driven shadow store")
@@ -534,27 +532,30 @@ class DifferentialOracle:
         (if given) runs after each checkpoint -- the fault-campaign
         entry point, guaranteed a clean, just-verified state."""
         self.workload_name = workload.name
-        for domain in sorted({workload.domain_of(ci)
-                              for ci in range(len(workload.traces))}):
+        # Each trace's columns as plain Python lists, extracted once.
+        cores = [(workload.domain_of(ci), trace.churn_every,
+                  trace.churn_pages, np.asarray(trace.vpage).tolist(),
+                  np.asarray(trace.block).tolist(),
+                  np.asarray(trace.is_write).astype(bool).tolist())
+                 for ci, trace in enumerate(workload.traces)]
+        for domain in sorted({core[0] for core in cores}):
             self.engine.on_domain_start(domain)
-        positions = [0] * len(workload.traces)
+        positions = [0] * len(cores)
         exhausted = False
         while not exhausted:
             exhausted = True
-            for ci, trace in enumerate(workload.traces):
+            for ci, (domain, churn_every, churn_pages, vpages, blocks,
+                     writes) in enumerate(cores):
                 pos = positions[ci]
-                if pos >= len(trace):
+                if pos >= len(vpages):
                     continue
                 if max_ops is not None and self.ops >= max_ops:
                     break
                 exhausted = False
-                domain = workload.domain_of(ci)
-                if trace.churn_every and pos \
-                        and pos % trace.churn_every == 0:
-                    self._churn(domain, trace.churn_pages)
-                pfn = self._fault_page(domain, int(trace.vpage[pos]))
-                self.access(domain, pfn, int(trace.block[pos]),
-                            bool(trace.is_write[pos]))
+                if churn_every and pos and pos % churn_every == 0:
+                    self._churn(domain, churn_pages)
+                pfn = self._fault_page(domain, vpages[pos])
+                self.access(domain, pfn, blocks[pos], writes[pos])
                 positions[ci] = pos + 1
                 if self.ops % self.checkpoint_every == 0:
                     self.checkpoint()

@@ -33,6 +33,18 @@ class TestCrypto:
         xor_pt = bytes(a ^ b for a, b in zip(p1, p2))
         assert xor_ct == xor_pt
 
+    @pytest.mark.parametrize("length", [0, 1, 17, 64])
+    def test_ciphertext_is_plaintext_xor_pad(self, length):
+        """Byte ``i`` of the ciphertext is plaintext byte ``i`` XOR pad
+        byte ``i`` -- a cipher that round-trips with a permuted pad
+        would pass the round-trip tests but change every MAC."""
+        key = b"0123456789abcdef"
+        seed = EncryptionSeed(0x1000, 5)
+        pt = bytes(range(7, 7 + length))
+        pad = one_time_pad(key, seed.to_bytes(), length)
+        assert (CounterModeCipher(key).encrypt(pt, seed)
+                == bytes(p ^ q for p, q in zip(pt, pad)))
+
     def test_different_counters_different_ciphertexts(self):
         c = CounterModeCipher(b"0123456789abcdef")
         pt = b"secret-block-data"

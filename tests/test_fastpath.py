@@ -13,8 +13,7 @@ fast and generic forms in lockstep and compares the full state:
   identically-configured caches -- one via ``lookup``/``fill``, one via
   the bound closures -- for plain, locked-way and MIRAGE organisations;
 * ``prime_candidates`` must memoize exactly the values the lazy
-  per-address hash would have produced (numpy uint64 wraparound
-  included);
+  per-address hash would have produced (64-bit wraparound included);
 * ``touch_dirty`` must equal the ``contains`` + ``lookup(is_write=True)``
   pair it fused (the SGX counter-tree dirty-walk regression);
 * every engine in the registry must produce identical results with the
@@ -32,6 +31,7 @@ from repro.experiments.parallel import resolve_engine
 from repro.mem.cache import Cache
 from repro.mem.mirage import MirageCache
 from repro.sim.config import CacheConfig, tiny_config
+from repro.sim.oracle import DifferentialOracle
 from repro.sim.profiler import PhaseProfiler
 from repro.sim.simulator import Simulator
 from repro.sim.trace import EventTracer
@@ -141,8 +141,8 @@ def test_subclass_gets_generic_methods_back():
 
 
 def test_prime_candidates_matches_lazy_hash():
-    """The numpy batch hash must memoize exactly the values the pure
-    Python splitmix64 produces -- including 64-bit wraparound."""
+    """Priming a batch must memoize exactly the values the lazy
+    per-address splitmix64 produces -- including 64-bit wraparound."""
     primed = MirageCache(_CFG, "p", seed=13)
     lazy = MirageCache(_CFG, "l", seed=13)
     addrs = list(range(0, 3000, 37)) + [2**40 + 123, 2**63, 2**64 - 5]
@@ -249,18 +249,21 @@ def test_engine_fast_path_bit_identical(scheme):
 
 @pytest.mark.parametrize("scheme", ALL_NINE)
 def test_bound_hooks_leave_no_reference_cycle(scheme):
-    """The hooks close over the controller, the stats and the caches,
-    never over the engine: a used engine is freed by reference counting
-    alone, with each binding (an engine kept alive until a full cycle
-    collection inflates the peak memory of oracle replays)."""
+    """The hooks close over the controller, the stats, the caches and
+    the counter observer, never over the engine: a used engine is freed
+    by reference counting alone, with each binding and with an oracle
+    attached (an engine kept alive until a full cycle collection
+    inflates the peak memory of oracle replays)."""
+    cfg = tiny_config(n_cores=2)
     installs = (lambda e: None,
                 lambda e: e.set_tracer(EventTracer(limit=8)),
-                lambda e: e.set_profiler(PhaseProfiler()))
+                lambda e: e.set_profiler(PhaseProfiler()),
+                lambda e: DifferentialOracle(cfg, e, seed=0))
     gc.disable()
     try:
         for install in installs:
-            engine = resolve_engine(scheme)(tiny_config(n_cores=2), seed=11)
-            install(engine)
+            engine = resolve_engine(scheme)(cfg, seed=11)
+            attached = install(engine)
             engine.on_domain_start(1)
             pfn = (engine.frame_range(1)[0]
                    if hasattr(engine, "frame_range") else 5)
@@ -268,7 +271,7 @@ def test_bound_hooks_leave_no_reference_cycle(scheme):
             engine.data_access(1, pfn, 0, True, 0.0)
             engine.handle_writeback(1, pfn, 0, 10.0)
             ref = weakref.ref(engine)
-            del engine
+            del engine, attached
             assert ref() is None
     finally:
         gc.enable()

@@ -1,7 +1,7 @@
 """Tests for the differential functional-vs-timing oracle
 (:mod:`repro.sim.oracle`): clean lockstep replays agree for every
-scheme, injected model faults are flagged, and the regressions the
-oracle found during bring-up stay fixed."""
+scheme on the fused hooks, injected model faults are flagged, and the
+regressions the oracle found during bring-up stay fixed."""
 
 import pytest
 
@@ -135,33 +135,143 @@ class TestOracleReport:
         assert a == b
 
 
+def _attached_oracle(scheme="baseline", **kwargs):
+    from repro.experiments.parallel import resolve_engine
+    from repro.sim.config import tiny_config
+    from repro.sim.oracle import DifferentialOracle
+
+    cfg = tiny_config(n_cores=4)
+    engine = resolve_engine(scheme)(cfg, seed=11)
+    return DifferentialOracle(cfg, engine, **kwargs), engine
+
+
+def _replayed_oracle():
+    """A clean baseline replay, ready for one more checkpoint."""
+    from repro.workloads.mixes import build_mix
+
+    oracle, _ = _attached_oracle(seed=1, checkpoint_every=100)
+    rep = oracle.run(build_mix("S-1", n_accesses=100, seed=1, scale=0.05))
+    assert rep.ok, [f"{d.kind}: {d.detail}" for d in rep.disagreements]
+    return oracle
+
+
 class TestCounterDigestRegression:
+    """The ``counter-digest`` contract compares the functional counter
+    store with the stream-driven shadow store block for block."""
+
     def test_digest_never_materialises_blocks(self):
-        """Regression (oracle bring-up): digesting the counter store
+        """Regression (oracle bring-up): comparing the counter stores
         must not materialise lazily-zero blocks -- a materialised
         all-zero block hashes differently from the tree's canonical
         zero hash and corrupts later verifications."""
-        from repro.secure.counters import CounterStore
-        from repro.sim.oracle import DifferentialOracle
-
-        store = CounterStore()
-        store.increment(3, 0)
-        before = set(store._blocks)
-        DifferentialOracle._counter_digest(store)
-        assert set(store._blocks) == before
+        oracle = _replayed_oracle()
+        before = (set(oracle.fsm.counters._blocks),
+                  set(oracle.shadow._blocks))
+        assert before[0]
+        oracle.checkpoint()
+        assert (set(oracle.fsm.counters._blocks),
+                set(oracle.shadow._blocks)) == before
+        assert oracle.disagreements == []
 
     def test_digest_distinguishes_stores(self):
-        from repro.secure.counters import CounterStore
-        from repro.sim.oracle import DifferentialOracle
+        """One minor counter apart is a divergence, and only that
+        contract reports it."""
+        oracle = _replayed_oracle()
+        page = min(oracle.shadow._blocks)
+        oracle.shadow.increment(page, 1)
+        oracle.checkpoint()
+        assert [d.kind for d in oracle.disagreements] == ["counter-digest"]
 
-        a, b = CounterStore(), CounterStore()
-        a.increment(3, 0)
-        b.increment(3, 0)
-        assert (DifferentialOracle._counter_digest(a)
-                == DifferentialOracle._counter_digest(b))
-        b.increment(3, 1)
-        assert (DifferentialOracle._counter_digest(a)
-                != DifferentialOracle._counter_digest(b))
+    def test_materialised_zero_block_differs_from_absent(self):
+        oracle = _replayed_oracle()
+        page = next(p for p in range(oracle.fsm.n_pages)
+                    if p not in oracle.fsm.counters._blocks)
+        oracle.shadow.block(page)   # all-zero, but materialised
+        oracle.checkpoint()
+        assert [d.kind for d in oracle.disagreements] == ["counter-digest"]
+
+
+class TestFusedReplay:
+    """The oracle gathers its evidence on the fused path the figures
+    come from, from the counter addresses the engine actually probes."""
+
+    @pytest.mark.parametrize("scheme", DEFAULT_SCHEMES)
+    def test_replay_runs_the_fused_hooks(self, scheme, monkeypatch):
+        """No tracer is installed, and neither the controller's
+        instrumented ``read``/``write`` nor a metadata cache's own
+        ``lookup`` is ever called."""
+        from repro.mem.cache import Cache
+        from repro.mem.memctrl import MemoryController
+        from repro.mem.mirage import MirageCache
+        from repro.sim.trace import NULL_TRACER
+        from repro.workloads.mixes import build_mix
+
+        calls = []
+        for cls, attr in ((MemoryController, "read"),
+                          (MemoryController, "write"),
+                          (Cache, "lookup"), (MirageCache, "lookup")):
+            def counted(*args, _orig=getattr(cls, attr),
+                        _name=f"{cls.__name__}.{attr}", **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(cls, attr, counted)
+        oracle, engine = _attached_oracle(scheme, seed=0,
+                                          checkpoint_every=100)
+        rep = oracle.run(build_mix("S-1", n_accesses=200, seed=0,
+                                   scale=0.05))
+        assert rep.ok, [f"{d.kind}: {d.detail}" for d in rep.disagreements]
+        assert engine.tracer is NULL_TRACER
+        assert calls == []
+
+    def test_wrong_counter_address_is_flagged(self):
+        """A baseline whose walks fetch the next page's counter block
+        verifies every access and keeps every stat; only the probed
+        addresses give it away."""
+        from repro.workloads.mixes import build_mix
+
+        oracle, engine = _attached_oracle(seed=5, checkpoint_every=100)
+        geo = engine.geo
+        for pfn in range(oracle.fsm.n_pages):
+            engine._path_memo[pfn] = (geo.counter_addr(pfn + 1),
+                                      geo.path_addrs(pfn))
+        rep = oracle.run(build_mix("S-2", n_accesses=400, seed=5,
+                                   scale=0.05))
+        assert sorted({d.kind for d in rep.disagreements}) \
+            == ["counter-touch-set"]
+
+    def test_probe_outside_counter_space_is_flagged(self):
+        from repro.mem import spaces
+
+        oracle = _replayed_oracle()
+        oracle.probe.counter(spaces.tag(spaces.TREE, 3), False)
+        oracle.checkpoint()
+        assert [d.kind for d in oracle.disagreements] == ["counter-space"]
+
+    @pytest.mark.parametrize("scheme", ["baseline", "ivleague-basic"])
+    @pytest.mark.parametrize("install", ["profiler", "tracer",
+                                         "null-tracer"])
+    def test_later_instrumentation_keeps_the_evidence(self, scheme,
+                                                      install):
+        """The observer survives every rebinding of the hooks."""
+        from repro.sim.profiler import PhaseProfiler
+        from repro.sim.trace import NULL_TRACER, EventTracer
+        from repro.workloads.mixes import build_mix
+
+        def replay(install):
+            oracle, engine = _attached_oracle(scheme, seed=5,
+                                              checkpoint_every=100)
+            if install == "profiler":
+                engine.set_profiler(PhaseProfiler())
+            elif install == "tracer":
+                engine.set_tracer(EventTracer(limit=8))
+            elif install == "null-tracer":
+                engine.set_tracer(NULL_TRACER)
+            return oracle.run(build_mix("S-2", n_accesses=200, seed=5,
+                                        scale=0.05)).to_dict()
+
+        plain = replay(None)
+        assert plain["ok"]
+        assert replay(install) == plain
 
 
 class TestCoreIndependence:
