@@ -4,10 +4,9 @@
 ``scripts/bench.py --append-history`` grows ``BENCH_history.jsonl`` one
 record per benchmark run; this script turns that series into a
 regression gate.  The **latest** record is compared against the median
-of the trailing window of **comparable** records — same bench, sweep
-size (``quick``/``n_cells``/``n_accesses``) and simulator core — and
-the check fails when either headline metric regressed beyond the
-tolerance:
+of the trailing window of **comparable** records — same bench and
+sweep size (``quick``/``n_cells``/``n_accesses``) — and the check fails
+when either headline metric regressed beyond the tolerance:
 
 * ``cells_per_sec_serial`` dropped below ``(1 - tolerance) * median``
   (the interpreter-speed axis ROADMAP item 1 tracks), or
@@ -15,8 +14,8 @@ tolerance:
   (the caching-layer axis).
 
 A series with no comparable prior records (the first entry, a new
-sweep shape, a core switch) passes by construction — the gate needs a
-baseline before it can bite.
+sweep shape) passes by construction — the gate needs a baseline before
+it can bite.
 
 When a throughput regression is flagged and records carry the bench's
 ``phases`` attribution (per-scheme profiler shares), the report also
@@ -41,7 +40,7 @@ import sys
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 
 #: Fields two records must share to be timing-comparable.
-COMPARABLE_KEYS = ("bench", "quick", "core", "n_cells", "n_accesses")
+COMPARABLE_KEYS = ("bench", "quick", "n_cells", "n_accesses")
 
 
 def load_history(path: str) -> list[dict]:

@@ -24,9 +24,6 @@ class HierarchyResult:
     latency: int
     llc_miss: bool
     writeback_addrs: tuple[int, ...] = ()
-    #: Where the request was answered: "l1" / "l2" / "llc" on-chip hits,
-    #: "mem" when it fell through to the secure engine.
-    level: str = "mem"
 
 
 class CacheHierarchy:
@@ -60,15 +57,13 @@ class CacheHierarchy:
         cfg = self.config
         l1, l2 = self.l1[core], self.l2[core]
         if l1.lookup(addr, is_write):
-            return HierarchyResult(cfg.core.l1.hit_latency, False,
-                                   level="l1")
+            return HierarchyResult(cfg.core.l1.hit_latency, False)
         writebacks: list[int] = []
         if l2.lookup(addr, is_write):
             ev = l1.fill(addr, dirty=is_write)
             if ev is not None and ev.dirty:
                 l2.fill(ev.addr, dirty=True)
-            return HierarchyResult(cfg.core.l2.hit_latency, False,
-                                   level="l2")
+            return HierarchyResult(cfg.core.l2.hit_latency, False)
         llc_hit = self.llc.lookup(addr, is_write)
         # Fill the private levels regardless of where the block came from.
         ev2 = l2.fill(addr)
@@ -81,9 +76,8 @@ class CacheHierarchy:
             l2.fill(ev1.addr, dirty=True)
         if llc_hit:
             return HierarchyResult(cfg.llc.hit_latency,
-                                   False, tuple(writebacks), level="llc")
+                                   False, tuple(writebacks))
         ev_llc = self.llc.fill(addr)
         if ev_llc is not None and ev_llc.dirty:
             writebacks.append(ev_llc.addr)
-        return HierarchyResult(cfg.llc.hit_latency, True, tuple(writebacks),
-                               level="mem")
+        return HierarchyResult(cfg.llc.hit_latency, True, tuple(writebacks))

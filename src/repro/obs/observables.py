@@ -25,8 +25,9 @@ stream into one canonical tuple sequence per IV domain:
 
 Determinism: the projection is a pure function of the event list, and
 the event list itself contains only simulated quantities, so two
-identical runs yield byte-identical canonical traces (asserted across
-the scalar and batched simulator cores in ``tests/test_observables.py``).
+identical runs yield byte-identical canonical traces (asserted in
+``tests/test_observables.py``; ``tests/test_golden.py`` pins every
+engine's traces and its full event stream to committed digests).
 """
 
 from __future__ import annotations

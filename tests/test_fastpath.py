@@ -4,9 +4,11 @@ The cache models offer pre-bound monomorphic probe/fill closures
 (``bind_fast_probe`` / ``bind_fast_fill``), a fused ``touch_dirty``
 probe and batched MIRAGE candidate hashing (``prime_candidates``).
 The engines bind the closures when tracing and profiling are off and
-the caches' own ``lookup``/``fill`` otherwise, so both forms promise
-*bit-identical* behaviour in every observable: hit/miss outcomes, LRU
-order, dirty bits, victims, stats and latencies.  This suite drives the
+the caches' own ``lookup``/``fill`` otherwise, and the simulator's
+drain loop binds its L1/L2/LLC fills the same way by tracer state, so
+both forms promise *bit-identical* behaviour in every observable:
+hit/miss outcomes, LRU order, dirty bits, victims, stats and
+latencies.  This suite drives the
 fast and generic forms in lockstep and compares the full state:
 
 * a seeded property test runs a random probe/fill stream through two
@@ -37,7 +39,7 @@ from repro.sim.simulator import Simulator
 from repro.sim.trace import EventTracer
 from repro.workloads.mixes import build_mix
 
-from tests.test_batched import ALL_NINE
+from tests.test_golden import ALL_NINE
 
 #: Small geometry so a few hundred addresses generate real conflict
 #: pressure (evictions, write-backs, power-of-two-choices imbalance).
@@ -218,10 +220,9 @@ def test_sgx_dirty_walk_probes_each_node_once():
 
 def _run_engine(scheme, traced, mix="M-2", n_accesses=400, seed=3,
                 warmup=100):
-    """test_batched's harness on the scalar core, comparing the engine's
-    two hook bindings (the batched-vs-scalar axis is test_batched's
-    job).  A tracer installed on the engine alone binds the instrumented
-    hooks while the simulator keeps its untraced loop."""
+    """The golden M-2 stream, comparing the engine's two hook bindings.
+    A tracer installed on the engine alone binds the instrumented hooks
+    while the simulator runs untraced."""
     cfg = tiny_config(n_cores=4)
     engine = resolve_engine(scheme)(cfg, seed=11)
     if traced:

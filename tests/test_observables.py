@@ -1,8 +1,9 @@
 """Observable-trace projection tests: the per-domain canonical
-projection itself, golden cross-core identity (every engine's observable
-traces must be byte-identical between the scalar and batched cores), and
-the leakage statistics (plug-in MI / total-variation distance) on
-synthetic fixtures with known mutual information."""
+projection itself, every engine's observable traces on the golden S-1
+stream (schema-valid, fully attributed, several domains, repeatable;
+``tests/test_golden.py`` pins their digests), and the leakage
+statistics (plug-in MI / total-variation distance) on synthetic
+fixtures with known mutual information."""
 
 import math
 
@@ -12,8 +13,8 @@ from repro.experiments.parallel import resolve_engine
 from repro.obs.leakage import plugin_mi_bits, tv_distance
 from repro.obs.observables import (ObservableTrace, first_divergence,
                                    observable_tuple, project_events)
-from repro.sim.batched import make_simulator
 from repro.sim.config import tiny_config
+from repro.sim.simulator import Simulator
 from repro.sim.trace import EventTracer, validate_events
 from repro.workloads.mixes import build_mix
 
@@ -100,20 +101,20 @@ class TestProjection:
 
 
 class TestGoldenCrossCore:
-    """Satellites 2+3: identical runs must produce byte-identical
-    per-domain observable traces, and the scalar and batched cores must
-    agree on them for every engine (the observable projection inherits
-    the PR-7 lockstep guarantee)."""
+    """Every engine's traced golden S-1 stream yields schema-valid
+    events, no unattributed observable and several non-empty domains,
+    and identical runs produce byte-identical per-domain observable
+    traces."""
 
     @staticmethod
-    def _observables(core, scheme):
+    def _observables(scheme):
         cfg = tiny_config(n_cores=4)
         engine = resolve_engine(scheme)(cfg, seed=11)
         tracer = EventTracer(limit=None)
         policy = ("sequential" if scheme.startswith("static-partition")
                   else "fragmented")
-        sim = make_simulator(core, cfg, engine, seed=3,
-                             frame_policy=policy, tracer=tracer)
+        sim = Simulator(cfg, engine, seed=3, frame_policy=policy,
+                        tracer=tracer)
         wl = build_mix("S-1", n_accesses=400, seed=3, scale=0.05)
         sim.run(wl, warmup=100)
         evs = tracer.events()
@@ -123,20 +124,15 @@ class TestGoldenCrossCore:
         return traces
 
     @pytest.mark.parametrize("scheme", ALL_NINE)
-    def test_observable_traces_identical_across_cores(self, scheme):
-        scalar = self._observables("scalar", scheme)
-        batched = self._observables("batched", scheme)
-        assert sorted(scalar) == sorted(batched)
-        assert len(scalar) >= 2   # several domains actually observed
-        for d in scalar:
-            assert len(scalar[d]) > 0
-            assert scalar[d].canonical() == batched[d].canonical(), (
-                f"{scheme} domain {d}: "
-                f"{first_divergence(scalar[d], batched[d])}")
+    def test_observable_traces_cover_several_domains(self, scheme):
+        traces = self._observables(scheme)
+        assert len(traces) >= 2   # several domains actually observed
+        for d in traces:
+            assert len(traces[d]) > 0, f"{scheme} domain {d} is empty"
 
     def test_repeated_run_is_byte_identical(self):
-        a = self._observables("scalar", "ivleague-basic")
-        b = self._observables("scalar", "ivleague-basic")
+        a = self._observables("ivleague-basic")
+        b = self._observables("ivleague-basic")
         assert {d: t.digest() for d, t in a.items()} \
             == {d: t.digest() for d, t in b.items()}
 

@@ -272,32 +272,3 @@ class TestFusedReplay:
         plain = replay(None)
         assert plain["ok"]
         assert replay(install) == plain
-
-
-class TestCoreIndependence:
-    """PR-6 wiring: the default simulator core is now selectable
-    (``REPRO_CORE``).  The oracle drives engines directly, so its
-    verdicts must be identical under either core default -- and the
-    engine contract it certifies is the same one both cores execute,
-    which is what makes the batched fast path trustworthy."""
-
-    @pytest.mark.parametrize("core", ["batched", "scalar"])
-    def test_clean_replay_unaffected_by_core_default(self, core,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", core)
-        rep = verify_scheme("ivleague-basic", "S-1", n_accesses=200,
-                            seed=0, checkpoint_every=100,
-                            overflow_writes_per_page=48)
-        assert rep.ok, [f"{d.kind}: {d.detail}" for d in rep.disagreements]
-
-    def test_same_disagreement_count_under_both_cores(self, monkeypatch):
-        reports = {}
-        for core in ("batched", "scalar"):
-            monkeypatch.setenv("REPRO_CORE", core)
-            reports[core] = verify_scheme(
-                "baseline", "S-2", n_accesses=300, seed=5,
-                checkpoint_every=100, overflow_writes_per_page=16,
-                model_fault="drop-writeback")
-        assert not reports["batched"].ok and not reports["scalar"].ok
-        assert ([d.kind for d in reports["batched"].disagreements]
-                == [d.kind for d in reports["scalar"].disagreements])

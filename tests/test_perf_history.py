@@ -28,13 +28,12 @@ def perf_check():
     return _load_script("perf_check")
 
 
-def _payload(tput=4.0, warm=0.05, quick=True, core="batched"):
+def _payload(tput=4.0, warm=0.05, quick=True, n_accesses=2000):
     """Minimal BENCH_runner payload shaped like bench.py's output."""
     return {
         "bench": "experiment-runner",
         "host": {"cpus": 4, "platform": "linux"},
-        "sweep": {"quick": quick, "n_cells": 8, "n_accesses": 2000},
-        "core": core,
+        "sweep": {"quick": quick, "n_cells": 8, "n_accesses": n_accesses},
         "cells_per_sec_serial": tput,
         "warm_seconds_per_cell": warm,
         "parallel_speedup": None,
@@ -53,7 +52,6 @@ class TestHistoryRecord:
         rec = _record(bench)
         assert rec["bench"] == "experiment-runner"
         assert rec["quick"] is True
-        assert rec["core"] == "batched"
         assert rec["n_cells"] == 8
         assert rec["n_accesses"] == 2000
         assert rec["cells_per_sec_serial"] == 4.0
@@ -86,9 +84,10 @@ class TestCheck:
         assert any("nothing to regress against" in m for m in msgs)
 
     def test_incomparable_history_is_ignored(self, bench, perf_check):
-        # prior records are a different core: still a first-entry pass
-        records = [_record(bench, core="scalar", tput=100.0),
-                   _record(bench, core="batched", tput=1.0)]
+        # prior records are a different sweep size: still a first-entry
+        # pass
+        records = [_record(bench, n_accesses=4000, tput=100.0),
+                   _record(bench, tput=1.0)]
         ok, msgs = perf_check.check(records)
         assert ok
         assert any("nothing to regress against" in m for m in msgs)

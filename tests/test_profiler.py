@@ -1,7 +1,7 @@
 """Tests for the phase-attribution profiler: deterministic
 exclusive-time accounting under a fake clock, zero perturbation of
-simulation results on both cores, the ≥90% coverage self-check against
-real runs, and the CLI ``--profile-phases`` plumbing."""
+simulation results, the ≥90% coverage self-check against real runs,
+and the CLI ``--profile-phases`` plumbing."""
 
 import time
 
@@ -10,12 +10,10 @@ import pytest
 from repro import ENGINES
 from repro.secure.engine import BaselineEngine
 from repro.sim import profiler as profiler_mod
-from repro.sim.batched import make_simulator
 from repro.sim.profiler import (COVERAGE_FLOOR, NULL_PROFILER, NullProfiler,
                                 PhaseProfiler, format_phase_table)
+from repro.sim.simulator import Simulator
 from repro.workloads.generator import build_workload
-
-CORES = ["scalar", "batched"]
 
 
 def _wl(n=1200):
@@ -136,86 +134,53 @@ class TestFormatPhaseTable:
 
     def test_ok_when_all_reports_clear_the_floor(self, clock):
         text, ok = format_phase_table(
-            [("baseline", self._report(clock, 95, 100))], core="scalar")
+            [("baseline", self._report(clock, 95, 100))])
         assert ok
-        assert "core=scalar" in text
         assert "scheduler" in text and "[ok]" in text
 
     def test_flags_low_coverage(self, clock):
         reports = [("baseline", self._report(clock, 95, 100)),
                    ("ivleague-pro", self._report(clock, 50, 100))]
-        text, ok = format_phase_table(reports, core="batched")
+        text, ok = format_phase_table(reports)
         assert not ok
         assert "[LOW]" in text and "[ok]" in text
 
 
 class TestProfiledRuns:
     """The acceptance criteria: real runs attribute ≥90% of externally
-    measured wall time, on both cores, without changing any result."""
+    measured wall time without changing any result."""
 
-    @pytest.mark.parametrize("core", CORES)
     @pytest.mark.parametrize("scheme", ["baseline", "ivleague-pro"])
-    def test_coverage_floor_on_real_runs(self, tiny, core, scheme):
+    def test_coverage_floor_on_real_runs(self, tiny, scheme):
         prof = PhaseProfiler()
-        sim = make_simulator(core, tiny, ENGINES[scheme](tiny),
-                             profiler=prof)
+        sim = Simulator(tiny, ENGINES[scheme](tiny), profiler=prof)
         t0 = time.perf_counter_ns()
         sim.run(_wl(), warmup=300)
         wall = time.perf_counter_ns() - t0
         assert prof.coverage(wall) >= COVERAGE_FLOOR, (
-            f"{core}/{scheme}: attributed only "
+            f"{scheme}: attributed only "
             f"{prof.coverage(wall):.1%} of {wall / 1e6:.1f}ms")
         # the root phase and the model phases both show up
         assert "scheduler" in prof.phase_ns
         assert "dram" in prof.phase_ns
         assert "verify" in prof.phase_ns
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_profiling_does_not_change_simulation(self, tiny, core):
+    def test_profiling_does_not_change_simulation(self, tiny):
         wl = _wl()
-        plain = make_simulator(core, tiny, BaselineEngine(tiny))
-        profiled = make_simulator(core, tiny, BaselineEngine(tiny),
-                                  profiler=PhaseProfiler())
+        plain = Simulator(tiny, BaselineEngine(tiny))
+        profiled = Simulator(tiny, BaselineEngine(tiny),
+                             profiler=PhaseProfiler())
         r0 = plain.run(wl, warmup=300)
         r1 = profiled.run(wl, warmup=300)
         assert r0.registry_snapshot == r1.registry_snapshot
 
-    def test_profiler_does_not_force_scalar_fallback(self, tiny,
-                                                     monkeypatch):
-        """Unlike the tracer, a live profiler must keep the batched
-        core on its batched drain (the profiler only reads the wall
-        clock, so there is nothing to fall back for).  The batched
-        ``_drain`` falls back by delegating to ``Simulator._drain`` —
-        spy on that."""
-        from repro.sim.simulator import Simulator
-        from repro.sim.trace import EventTracer
-        calls = []
-        orig = Simulator._drain
-        monkeypatch.setattr(
-            Simulator, "_drain",
-            lambda self, *a, **kw: calls.append(1) or orig(self, *a, **kw))
-        sim = make_simulator("batched", tiny, BaselineEngine(tiny),
-                             profiler=PhaseProfiler())
-        sim.run(_wl(600))
-        assert calls == [], "live profiler pushed the batched core " \
-                            "onto the scalar drain"
-        # sanity: a live *tracer* does force the fallback
-        traced = make_simulator("batched", tiny, BaselineEngine(tiny),
-                                tracer=EventTracer(limit=64))
-        traced.run(_wl(600))
-        assert calls, "traced batched run should delegate to the " \
-                      "scalar drain"
-
 
 class TestCliProfilePhases:
-    @pytest.mark.parametrize("core", CORES)
-    def test_run_profile_phases_prints_table(self, capsys, core):
+    def test_run_profile_phases_prints_table(self, capsys):
         from repro.cli import main
         rc = main(["run", "S-1", "--scheme", "baseline",
-                   "--accesses", "1500", "--profile-phases",
-                   "--core", core])
+                   "--accesses", "1500", "--profile-phases"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert f"core={core}" in out
         assert "phase attribution" in out
         assert "scheduler" in out and "[ok]" in out
