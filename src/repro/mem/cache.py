@@ -182,9 +182,10 @@ class Cache:
     # LLC-missing access.  ``bind_fast_probe``/``bind_fast_fill`` return
     # closures holding the set list, geometry and stat objects in cell
     # variables, so one probe is a single dict round-trip with no
-    # attribute chain and no method dispatch.  The closures are only
-    # valid under the fast-path preconditions (tracer and profiler off);
-    # they are bit-identical to ``lookup``/``fill`` in every observable
+    # attribute chain and no method dispatch.  A fast fill emits no
+    # place or evict events, so it is bound only with the tracer off; a
+    # probe emits nothing and may be bound under any tracer.  Both are
+    # bit-identical to ``lookup``/``fill`` in every observable
     # effect (LRU order, dirty bits, victims, stats).  Unknown subclasses
     # get their own generic methods back, so semantics always come from
     # the instance.
