@@ -72,19 +72,15 @@ def build_cells(quick: bool):
 
 
 def profile_attribution(sc, mixes) -> dict:
-    """One profiled cell per scheme (first mix, shortened trace):
-    per-phase self-time shares explaining *where* serial cold time goes
-    (verify / mac / counter_probe / tree_update / mirage_hash / ...).
+    """One sampled cell per scheme (first mix, shortened trace):
+    per-layer shares of host CPU samples explaining *where* serial cold
+    time goes (drain / cache / verify / dram / mirage_hash / ...).
 
-    Profiled runs execute the same engine bodies as unprofiled ones;
-    under a profiler the engines bind their instrumented cache and DRAM
-    hooks (the caches' own ``lookup``/``fill``, the controller's
-    ``read``/``write``) so phase attribution stays complete, and the
-    shares describe the model's work, not the fused closures' dispatch
-    cost.
+    A sampled run installs nothing on the simulator, so the shares
+    describe the fused hooks every figure runs.
     """
     from repro.experiments.parallel import resolve_engine
-    from repro.sim.profiler import PhaseProfiler
+    from repro.sim.profiler import Sampler
     from repro.sim.simulator import Simulator
     from repro.workloads.mixes import build_mix
 
@@ -97,13 +93,12 @@ def profile_attribution(sc, mixes) -> dict:
         cfg = cell.resolve_config()
         workload = build_mix(mix, n_accesses=n_acc, seed=cell.seed)
         engine = resolve_engine(scheme)(cfg, seed=cell.engine_seed)
-        prof = PhaseProfiler()
         sim = Simulator(cfg, engine, seed=cell.seed,
-                        frame_policy=cell.frame_policy, profiler=prof)
-        sim.run(workload, warmup=warmup)
-        rep = prof.report()
-        out[scheme] = {p["phase"]: round(p["share"], 4)
-                       for p in rep["phases"]}
+                        frame_policy=cell.frame_policy)
+        with Sampler() as sampler:
+            sim.run(workload, warmup=warmup)
+        out[scheme] = {row["layer"]: round(row["share"], 4)
+                       for row in sampler.report()["layers"]}
     return out
 
 

@@ -18,9 +18,12 @@ sweep shape) passes by construction — the gate needs a baseline before
 it can bite.
 
 When a throughput regression is flagged and records carry the bench's
-``phases`` attribution (per-scheme profiler shares), the report also
-names the phase whose share grew most against the baseline median —
-pointing at *what* got slower, not just that something did.
+``phases`` attribution (per-scheme shares of the sampling profiler's
+layers, :mod:`repro.sim.profiler`), the report also names the layer
+whose share grew most against the baseline median — pointing at *what*
+got slower, not just that something did.  Only layers some baseline
+record carries are compared, so a layer the profiler newly names is not
+blamed with its whole share.
 
 On 1-CPU hosts timing is noisy enough that a hard gate flakes; unless
 ``--strict`` is given, such hosts (and an explicit ``--warn-only``)
@@ -84,20 +87,23 @@ def _mean_phase_shares(phases) -> dict:
 
 
 def worst_phase_shift(latest: dict, baseline: list[dict]):
-    """Name the profiler phase whose attributed share grew most versus
-    the baseline median — the first suspect when throughput regresses.
+    """Name the phase whose attributed share grew most versus the
+    baseline median — the first suspect when throughput regresses.
+    Phases no baseline record carries are skipped.
 
     Returns ``(phase, latest_share, delta)`` or ``None`` when either
-    side lacks phase attribution (records predating it).
+    side lacks phase attribution (records predating it) or the two
+    share no phase.
     """
     lat = _mean_phase_shares(latest.get("phases"))
     base = [_mean_phase_shares(r.get("phases")) for r in baseline]
     base = [b for b in base if b]
-    if not lat or not base:
-        return None
+    known = set().union(*base)
     deltas = {
         phase: share - statistics.median(b.get(phase, 0.0) for b in base)
-        for phase, share in lat.items()}
+        for phase, share in lat.items() if phase in known}
+    if not deltas:
+        return None
     phase = max(sorted(deltas), key=lambda p: deltas[p])
     return phase, lat[phase], deltas[phase]
 

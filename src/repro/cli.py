@@ -42,7 +42,7 @@ def _print_profile(results) -> None:
 
 
 def _cmd_run(args) -> int:
-    import time
+    from contextlib import nullcontext
 
     from repro import ENGINES, build_mix, scaled_config
     from repro.sim.provenance import run_manifest
@@ -51,8 +51,7 @@ def _cmd_run(args) -> int:
     workload = build_mix(args.mix, n_accesses=args.accesses)
     schemes = [args.scheme] if args.scheme != "all" else list(ENGINES)
     tracers = {}
-    profilers = {}
-    wall_ns = {}
+    samplers = {}
     results = {}
     rc = 0
     for pid, scheme in enumerate(schemes):
@@ -61,23 +60,17 @@ def _cmd_run(args) -> int:
             from repro.sim.trace import EventTracer
             tracer = EventTracer(limit=args.trace_limit, pid=pid)
             tracers[scheme] = tracer
-        profiler = None
+        sampler = nullcontext()
         if args.profile_phases:
-            from repro.sim.profiler import PhaseProfiler
-            profiler = PhaseProfiler()
-            profilers[scheme] = profiler
+            from repro.sim.profiler import Sampler
+            sampler = samplers[scheme] = Sampler()
         engine = ENGINES[scheme](cfg, seed=args.seed)
         sim = Simulator(cfg, engine, seed=args.seed,
-                        frame_policy=args.frames, tracer=tracer,
-                        profiler=profiler)
-        # The coverage self-check compares the profiler's attribution
-        # against this *external* timing of sim.run, so it cannot be
-        # satisfied by the profiler's own bookkeeping alone.
-        t0 = time.perf_counter_ns()
-        results[scheme] = sim.run(
-            workload, warmup=args.accesses // 3,
-            check_invariants=args.check_invariants or None)
-        wall_ns[scheme] = time.perf_counter_ns() - t0
+                        frame_policy=args.frames, tracer=tracer)
+        with sampler:
+            results[scheme] = sim.run(
+                workload, warmup=args.accesses // 3,
+                check_invariants=args.check_invariants or None)
     base = results.get("baseline")
     print(f"{'scheme':18s} {'IPC/core':>24s} {'path':>6s} {'DRAM':>9s}")
     for scheme, r in results.items():
@@ -93,14 +86,14 @@ def _cmd_run(args) -> int:
         _print_profile(results)
     if args.profile_phases:
         from repro.sim.profiler import format_phase_table
-        reports = [(scheme, prof.report(measured_ns=wall_ns[scheme]))
-                   for scheme, prof in profilers.items()]
+        reports = [(scheme, sampler.report())
+                   for scheme, sampler in samplers.items()]
         text, coverage_ok = format_phase_table(reports)
         print(text)
         if not coverage_ok:
-            print("profile-phases: attributed time fell below the "
-                  "coverage floor — instrumentation is missing a hot "
-                  "path", file=sys.stderr)
+            print("profile-phases: named samples fell below the "
+                  "coverage floor — the layer table is missing a hot "
+                  "module", file=sys.stderr)
             rc = 1
     manifest = run_manifest(
         config=cfg, seed=args.seed, mix=args.mix, accesses=args.accesses,
@@ -476,10 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print p50/p95/p99 latency per request class "
                           "per scheme from the log-bucketed histograms")
     run.add_argument("--profile-phases", action="store_true",
-                     help="attribute host wall time to named model "
-                          "phases (verify, MAC, DRAM, ...) per scheme; "
-                          "exits non-zero if the attribution covers "
-                          "<90%% of measured run time")
+                     help="sample host CPU time into named model "
+                          "layers (verify walk, caches, DRAM, ...) per "
+                          "scheme; MAC, counter and tree-cache probes "
+                          "share the cache layer (perfbench/run.py "
+                          "--trace 1 times each cache); exits non-zero "
+                          "if under 90%% of samples are named")
     run.set_defaults(func=_cmd_run)
 
     srv = sub.add_parser(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.sim.config import CacheConfig
-from repro.sim.profiler import NULL_PROFILER
 from repro.sim.stats import Counter
 from repro.sim.trace import NULL_TRACER
 
@@ -34,12 +33,9 @@ class Eviction:
 class Cache:
     """LRU set-associative cache keyed by integer block address."""
 
-    #: Class-level defaults so the hot paths never None-check; the
-    #: simulator installs real instances cache-wide when tracing or
-    #: profiling is on.  Only MirageCache reads ``profiler`` (for the
-    #: "mirage_hash" phase); the plain lookup path stays untouched.
+    #: Class-level default so the hot paths never None-check; the
+    #: simulator installs a real tracer cache-wide when tracing is on.
     tracer = NULL_TRACER
-    profiler = NULL_PROFILER
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         if config.assoc <= 0:

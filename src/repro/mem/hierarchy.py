@@ -46,12 +46,6 @@ class CacheHierarchy:
         for cache in (*self.l1, *self.l2, self.llc):
             cache.tracer = tracer
 
-    def set_profiler(self, profiler) -> None:
-        # Only the randomized (MIRAGE) LLC has a profiled phase
-        # ("mirage_hash"); installing uniformly keeps the fan-out dumb.
-        for cache in (*self.l1, *self.l2, self.llc):
-            cache.profiler = profiler
-
     def access(self, core: int, addr: int, is_write: bool) -> HierarchyResult:
         """Look up ``addr``; fill on miss; report LLC miss + writebacks."""
         cfg = self.config

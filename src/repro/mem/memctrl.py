@@ -14,7 +14,6 @@ from repro.mem.dram import DRAM
 from repro.mem.spaces import DATA, SPACE_SHIFT
 from repro.sim.config import DRAMConfig
 from repro.sim.hist import HistogramSet
-from repro.sim.profiler import NULL_PROFILER
 
 #: Tagged addresses at or above this value live in a metadata space
 #: (``spaces.DATA`` is space 0, so the comparison replaces the
@@ -37,10 +36,6 @@ class TrafficStats:
 
 class MemoryController:
     """Routes block requests to DRAM and keeps traffic accounting."""
-
-    #: Class-level default so the hot path never None-checks; the
-    #: simulator installs a real profiler instance-wide when profiling.
-    profiler = NULL_PROFILER
 
     def __init__(self, config: DRAMConfig) -> None:
         self.dram = DRAM(config)
@@ -80,10 +75,6 @@ class MemoryController:
             lambda: self.dram.stats.reads + self.dram.stats.writes)
 
     def read(self, addr: int, now: float) -> float:
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("dram")
         traffic = self.traffic
         if addr >= _METADATA_BASE:
             traffic.metadata_reads += 1
@@ -93,22 +84,14 @@ class MemoryController:
             traffic.data_reads += 1
             lat = self.dram.read(addr, now)
             self._h_data.record(lat)
-        if profiling:
-            prof.pop()
         return lat
 
     def write(self, addr: int, now: float) -> None:
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("dram")
         if addr >= _METADATA_BASE:
             self.traffic.metadata_writes += 1
         else:
             self.traffic.data_writes += 1
         self.dram.write(addr, now)
-        if profiling:
-            prof.pop()
 
     # -- pre-bound engine fast path -------------------------------------------
 
@@ -119,8 +102,8 @@ class MemoryController:
         Each closure collapses the controller layer, the DRAM open-row
         timing model and the engine's own dram_* attribution counters
         (``estats`` is the engine's :class:`EngineStats`) into one call
-        with no profiler checks and no tracer emission -- callers must
-        guarantee tracing and profiling are off.  The data/metadata
+        with no tracer emission -- callers must guarantee tracing is
+        off; a sampled run binds these too.  The data/metadata
         classification is static per closure, so the ``_METADATA_BASE``
         compare disappears from the per-request path.  The arithmetic is
         the same IEEE sequence as :meth:`DRAM.read`/:meth:`DRAM.write`,

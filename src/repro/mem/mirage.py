@@ -64,39 +64,22 @@ class MirageCache(Cache):
     def _candidates(self, addr: int) -> tuple[int, int]:
         cand = self._cand.get(addr)
         if cand is None:
-            # Profiler guard lives on the memoization *miss* branch only:
-            # memoized probes (the overwhelming majority once the working
-            # set is warm) never touch it.
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
-                prof.push("mirage_hash")
             cand = self._cand[addr] = self._skews(addr)
-            if profiling:
-                prof.pop()
         return cand
 
     def prime_candidates(self, addrs) -> None:
         """Memoize the skew candidates of every address in ``addrs``
         that is not memoized yet (a verify walk's path, once per memo
-        entry), in one ``mirage_hash`` phase when any is missing.
+        entry).
 
         A walk misses only a handful of addresses, for which the plain
         splitmix64 of :meth:`_candidates` is cheaper than setting up a
         numpy batch.
         """
         cand = self._cand
-        missing = [a for a in addrs if a not in cand]
-        if not missing:
-            return
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("mirage_hash")
-        for addr in missing:
-            cand[addr] = self._skews(addr)
-        if profiling:
-            prof.pop()
+        for addr in addrs:
+            if addr not in cand:
+                cand[addr] = self._skews(addr)
 
     def set_index(self, addr: int) -> int:  # pragma: no cover - unused path
         return self._candidates(addr)[0]

@@ -316,7 +316,7 @@ class _AliasingCounterCache:
     def _mask(addr: int) -> int:
         return (addr >> SPACE_SHIFT << SPACE_SHIFT) | (addr % 8)
 
-    # set_tracer/set_profiler assign these through the engine fan-out.
+    # set_tracer assigns this through the engine fan-out.
     @property
     def tracer(self):
         return self._inner.tracer
@@ -324,14 +324,6 @@ class _AliasingCounterCache:
     @tracer.setter
     def tracer(self, value) -> None:
         self._inner.tracer = value
-
-    @property
-    def profiler(self):
-        return self._inner.profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._inner.profiler = value
 
     def lookup(self, addr: int, is_write: bool = False):
         return self._inner.lookup(self._mask(addr), is_write=is_write)

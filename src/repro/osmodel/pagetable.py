@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.mem import spaces
 from repro.sim.config import BLOCK_BYTES, PAGE_BYTES
-from repro.sim.profiler import NULL_PROFILER
 
 #: Bits of VA index per level, leaf level first (classic layout).
 CLASSIC_BITS = (9, 9, 9, 9)
@@ -43,10 +42,6 @@ class PageTable:
     ``extended=True`` selects the IvLeague layout whose PTEs embed the
     Leaf Mapping Metadata (LMM).
     """
-
-    #: Class-level default; the simulator installs a real profiler on
-    #: each table at run start when phase profiling is on.
-    profiler = NULL_PROFILER
 
     def __init__(self, asid: int, extended: bool = False) -> None:
         self.asid = asid
@@ -106,10 +101,6 @@ class PageTable:
         entry = self._entries.get(vpn)
         if entry is None:
             raise KeyError(f"page fault: vpn {vpn} of asid {self.asid}")
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("pagetable")
         touched = []
         index = vpn
         offset = 0
@@ -122,6 +113,4 @@ class PageTable:
             block = self._region + (offset + entry_byte) // BLOCK_BYTES
             touched.append(spaces.tag(spaces.PTABLE, block))
             offset += 1 << 26  # keep levels in disjoint sub-regions
-        if profiling:
-            prof.pop()
         return WalkResult(entry[0], entry[1], tuple(touched))

@@ -169,9 +169,6 @@ class SgxCounterTreeEngine(BaselineEngine):
                 for_write: bool) -> float:
         lat = super()._verify(domain, pfn, now, for_write)
         if for_write:
-            instrumented = self._instrumented
-            if instrumented:
-                self.profiler.push("tree_update")
             # Counter-tree write: the path's nodes are dirtied up to the
             # first cached level (they hold incremented counters now).
             # ``touch_dirty`` probes each node once (contains + dirty
@@ -187,6 +184,4 @@ class SgxCounterTreeEngine(BaselineEngine):
                 wb = tree_fill(addr, True)
                 if wb is not None:
                     write_meta(wb, fill_at)
-            if instrumented:
-                self.profiler.pop()
         return lat

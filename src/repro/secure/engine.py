@@ -25,7 +25,6 @@ from repro.mem.mirage import make_cache
 from repro.secure.bmt import TreeGeometry
 from repro.sim.config import BLOCKS_PER_PAGE, MachineConfig
 from repro.sim.hist import HistogramSet
-from repro.sim.profiler import NULL_PROFILER
 from repro.sim.stats import EngineStats
 from repro.sim.trace import NULL_TRACER
 
@@ -37,10 +36,10 @@ OVERFLOW_WRITES_PER_PAGE = 1024
 
 def _controller_ops(mc: MemoryController, stats: EngineStats):
     """Instrumented ``(read_data, read_meta, write_data, write_meta)``:
-    the controller's own ``read``/``write`` (DRAM trace events, the
-    "dram" phase) plus the engine's dram_* attribution -- the protocol
-    of :meth:`MemoryController.bind_engine_ops`, whose fused closures
-    replace these when tracing and profiling are off."""
+    the controller's own ``read``/``write`` (DRAM trace events) plus the
+    engine's dram_* attribution -- the protocol of
+    :meth:`MemoryController.bind_engine_ops`, whose fused closures
+    replace these when tracing is off."""
     read, write = mc.read, mc.write
 
     def read_data(addr: int, now: float) -> float:
@@ -77,7 +76,6 @@ class SecureMemoryEngine(ABC):
 
     name = "abstract"
     tracer = NULL_TRACER
-    profiler = NULL_PROFILER
     #: ``observer(addr, hit)`` called after every counter-cache probe,
     #: whichever probe is bound (set by the differential oracle, which
     #: then rebinds the hooks).
@@ -136,27 +134,26 @@ class SecureMemoryEngine(ABC):
     # Every LLC-missing access funnels through ``data_access`` /
     # ``handle_writeback`` into the scheme's ``_verify`` walk, and every
     # engine path reaches the metadata caches and DRAM only through the
-    # hooks bound here.  With tracing and profiling off they are the
-    # caches' monomorphic probe/fill closures and the fused
-    # controller+DRAM closures; with either on they are the caches' own
-    # ``lookup``/``fill`` and the controller's ``read``/``write``, which
-    # emit the cache, DRAM and phase instrumentation.  Both bindings are
-    # bit-identical in every stat, histogram bucket, cache state and DRAM
-    # timing (tests/test_golden.py), so traced, profiled and
-    # fault-injected runs execute the body the figures come from.  Only
-    # instrumentation that needs walk-local values (counter, tree-node,
-    # LMM and MAC events, the engine span, the verify/mac phases) stays
-    # in the bodies, behind one ``_instrumented`` read per call.  A
+    # hooks bound here.  With tracing off they are the caches'
+    # monomorphic probe/fill closures and the fused controller+DRAM
+    # closures; with a tracer they are the caches' own ``lookup``/``fill``
+    # and the controller's ``read``/``write``, which emit the cache and
+    # DRAM events.  Both bindings are bit-identical in every stat,
+    # histogram bucket, cache state and DRAM timing
+    # (tests/test_golden.py), so traced, sampled and fault-injected runs
+    # execute the body the figures come from, and sampled runs bind the
+    # fused hooks themselves.  Only instrumentation that needs walk-local
+    # values (counter, tree-node, LMM and MAC events, the engine span)
+    # stays in the bodies, behind one ``_instrumented`` read per call.  A
     # ``counter_observer`` wraps the counter probe of either binding, so
     # the oracle sees every probed counter address on the fused path.
 
     def _bind_hooks(self) -> None:
-        """(Re)bind the metadata hooks for the installed tracer,
-        profiler and counter observer.  The hooks close over the
-        controller, the stats, the caches and the observer, never over
-        the engine."""
+        """(Re)bind the metadata hooks for the installed tracer and
+        counter observer.  The hooks close over the controller, the
+        stats, the caches and the observer, never over the engine."""
         caches = (self.mac_cache, self.counter_cache, self.tree_cache)
-        self._instrumented = self.tracer.enabled or self.profiler.enabled
+        self._instrumented = self.tracer.enabled
         if self._instrumented:
             ops = _controller_ops(self.mc, self.stats)
             probes = [cache.lookup for cache in caches]
@@ -251,16 +248,6 @@ class SecureMemoryEngine(ABC):
             cache.tracer = tracer
         self._bind_hooks()
 
-    def set_profiler(self, profiler) -> None:
-        """Install ``profiler`` on this engine and everything behind it
-        (the DRAM controller's "dram" phase, the metadata caches'
-        "mirage_hash" phase when they are randomized)."""
-        self.profiler = profiler
-        self.mc.profiler = profiler
-        for cache in (self.counter_cache, self.mac_cache, self.tree_cache):
-            cache.profiler = profiler
-        self._bind_hooks()
-
     @staticmethod
     def data_addr(pfn: int, block_in_page: int) -> int:
         return spaces.tag(spaces.DATA, pfn * BLOCKS_PER_PAGE + block_in_page)
@@ -276,13 +263,12 @@ class SecureMemoryEngine(ABC):
         """LLC-missing access: fetch data + metadata; returns latency."""
         instrumented = self._instrumented
         if instrumented:
-            tracer, prof = self.tracer, self.profiler
-            if tracer.enabled:
-                # Engine entry point: everything emitted below (counter /
-                # tree / MAC / DRAM events) belongs to this domain.
-                tracer.cur_domain = domain
-                tracer.begin("engine", "data_access", ts=now,
-                             domain=domain, pfn=pfn, write=is_write)
+            tracer = self.tracer
+            # Engine entry point: everything emitted below (counter /
+            # tree / MAC / DRAM events) belongs to this domain.
+            tracer.cur_domain = domain
+            tracer.begin("engine", "data_access", ts=now,
+                         domain=domain, pfn=pfn, write=is_write)
         stats = self.stats
         if is_write:
             stats.data_writes += 1
@@ -292,8 +278,6 @@ class SecureMemoryEngine(ABC):
         lat_data = self._read_data(block, now)  # DATA tag is 0
         # One MAC block covers 8 data blocks.
         mac_addr = self._mac_base | (block >> 3)
-        if instrumented:
-            prof.push("mac")
         if self._mac_probe(mac_addr, is_write):
             stats.mac_hits += 1
             if instrumented:
@@ -307,14 +291,9 @@ class SecureMemoryEngine(ABC):
             wb = self._mac_fill(mac_addr, is_write)
             if wb is not None:
                 self._write_meta(wb, now)
-        if instrumented:
-            prof.pop()
-            prof.push("verify")
         # Decryption needs the verified counter; OTP generation overlaps
         # the data fetch, so only the residual AES latency serialises.
         lat_meta = self._verify(domain, pfn, now, is_write) + self._aes_lat
-        if instrumented:
-            prof.pop()
         lat = max(lat_data, lat_mac, lat_meta)
         self._h_verify.record(lat_meta)
         self._h_access.record(lat)
@@ -329,18 +308,13 @@ class SecureMemoryEngine(ABC):
         stats.writebacks_absorbed += 1
         instrumented = self._instrumented
         if instrumented:
-            tracer, prof = self.tracer, self.profiler
-            if tracer.enabled:
-                tracer.cur_domain = domain
-                tracer.instant("engine", "writeback", ts=now,
-                               domain=domain, pfn=pfn)
-            prof.push("verify")
+            tracer = self.tracer
+            tracer.cur_domain = domain
+            tracer.instant("engine", "writeback", ts=now,
+                           domain=domain, pfn=pfn)
         self._verify(domain, pfn, now, True)
         block = pfn * BLOCKS_PER_PAGE + block_in_page
         mac_addr = self._mac_base | (block >> 3)
-        if instrumented:
-            prof.pop()
-            prof.push("mac")
         if self._mac_probe(mac_addr, True):
             stats.mac_hits += 1
             if instrumented:
@@ -353,8 +327,6 @@ class SecureMemoryEngine(ABC):
             wb = self._mac_fill(mac_addr, True)
             if wb is not None:
                 self._write_meta(wb, now)
-        if instrumented:
-            prof.pop()
         self._write_data(block, now)
         writes = self._page_writes.get(pfn, 0) + 1
         if writes >= self.overflow_writes_per_page:
@@ -390,13 +362,7 @@ class SecureMemoryEngine(ABC):
         # Counter write-back + dirty tree-path update (scheme-specific
         # walk: partition offsets, TreeLing slots, VAULT arities).
         self._write_meta(self._counter_addr(pfn), now)
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("verify")
         self._verify(domain, pfn, now, True)
-        if profiling:
-            prof.pop()
 
     # -- page / domain lifecycle (overridden by IvLeague) ---------------------------------
 
@@ -432,21 +398,6 @@ class BaselineEngine(SecureMemoryEngine):
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
         super().__init__(config, seed)
         self.geo = TreeGeometry(config.counter_blocks)
-
-    def _bind_hooks(self) -> None:
-        super()._bind_hooks()
-        prof = self.profiler
-        if prof.enabled:
-            # The global-tree family charges its counter-cache probe to
-            # a phase of its own.
-            probe, push, pop = self._ctr_probe, prof.push, prof.pop
-
-            def ctr_probe(addr: int, is_write: bool = False) -> bool:
-                push("counter_probe")
-                hit = probe(addr, is_write)
-                pop()
-                return hit
-            self._ctr_probe = ctr_probe
 
     def _verify(self, domain: int, pfn: int, now: float,
                 for_write: bool) -> float:

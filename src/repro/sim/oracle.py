@@ -197,9 +197,8 @@ class DifferentialOracle:
     :class:`FrameAllocator`), so every engine counter is an exact
     function of the stream and any divergence is an engine bug, not
     timing noise.  Attaching installs only the engine's
-    ``counter_observer``; the engine keeps its tracer and profiler
-    (none by default), so a replay runs the fused hooks the figures
-    come from.
+    ``counter_observer``; the engine keeps its tracer (none by
+    default), so a replay runs the fused hooks the figures come from.
     """
 
     def __init__(self, config: MachineConfig, engine, *,

@@ -1,232 +1,190 @@
-"""Zero-overhead-when-off phase-attribution profiler.
+"""Sampling layer profiler: where a run's host CPU time goes.
 
-ROADMAP item 1 stalled with the diagnosis "the remaining time is
-per-access model work" — but nothing could say *which* model work.
-This module answers that: it attributes **host wall time** (not
-simulated cycles — that is what the histograms are for) to a small set
-of named model phases, so `repro run --profile-phases` can print where
-an interpreter-second actually goes for any scheme.  A profiled run
-takes the same drain loop as an unprofiled one: churn frees, page
-faults and TLB walks run inline inside their ``churn``,
-``page_fault`` and ``tlb_walk`` phases.
+``repro run --profile-phases`` and ``scripts/bench.py`` ask which model
+layer the interpreter is busy in.  This module answers by sampling the
+code that runs: while a :class:`Sampler` is active, an ``ITIMER_PROF``
+interval timer delivers ``SIGPROF`` every :data:`INTERVAL_S` seconds of
+process CPU time (Linux checks CPU timers once per scheduler tick, so a
+coarser tick sets the real interval), and the handler charges one
+sample to the innermost frame of the interrupted stack that
+:data:`LAYERS` names.  Nothing is
+installed on the simulator, so a sampled run executes the same code,
+fused cache and DRAM hooks included, as an unsampled one.
 
-Two profilers share one protocol, mirroring the tracer design
-(:mod:`repro.sim.trace`):
+Layer table
+-----------
 
-* :class:`NullProfiler` — the default.  ``enabled`` is a class
-  attribute ``False`` and every method is a no-op; hook sites guard
-  with ``if profiler.enabled:`` (or a hoisted local), so the off state
-  costs one attribute load and a branch — and only on the paths that
-  carry hooks at all (the drain loop reads ``enabled`` once per drain
-  and tests a local on its churn, fault and walk paths).
-* :class:`PhaseProfiler` — a stack-based *exclusive-time* profiler.
-  ``push(phase)`` charges the elapsed interval to the phase currently
-  on top of the stack and enters the new phase; ``pop()`` charges the
-  top phase and resumes its parent.  Nested phases therefore carve
-  their time *out* of the enclosing phase (DRAM time inside a verify
-  walk is "dram", not "verify"), and the per-phase numbers are
-  additive: their sum over a run window is the attributed total, with
-  no double counting.
+:data:`LAYERS` maps a module (``f_globals["__name__"]``) to a layer,
+and a ``(module, function)`` pair (``f_code.co_name``) to a layer that
+overrides the module's.  Frames of unnamed modules and functions (numpy,
+the stats registry, an engine's page-lifecycle hooks) fall through to
+their caller, so an engine's ``on_page_alloc`` counts as ``page_fault``
+because the simulator's ``_alloc_page`` called it.  A sample with no
+named frame on its stack counts as unattributed.
 
-Phase taxonomy (informational — the profiler accepts any name, and the
-report sorts by time):
+Entry rule
+----------
 
-=================  ==========================================================
-``scheduler``      the drain loop: heap scheduling, core stepping, L1/L2/LLC
-                   and TLB probes — everything inside ``_drain`` not claimed
-                   by a nested phase (the root phase of every run)
-``page_fault``     first-touch page allocation incl. the engine's
-                   ``on_page_alloc`` (TreeLing attach, partition bookkeeping)
-``tlb_walk``       hardware page-table walks through the shared hierarchy
-``pagetable``      the radix-walk address computation itself
-``churn``          page-free machinery (``on_page_free``, unmap, TLB shootdown)
-``verify``         the engine verify path: counter fetch + tree-path walk
-``counter_probe``  the counter-metadata-cache probe inside the verify path
-``tree_update``    counter-tree write-path node dirtying (SGX-style engine)
-``mac``            MAC-cache probe + MAC block fetches
-``mirage_hash``    MIRAGE candidate-set hashing (memoization misses)
-``dram``           the DRAM timing model (bank/row state, queueing)
-=================  ==========================================================
+CPython runs a signal handler only at an eval-breaker check, and the
+first check a called function reaches is its ``RESUME`` instruction.
+A sample taken at or before a frame's ``RESUME`` offset is charged to
+the caller, whose work was running when the timer fired; charging the
+not-yet-started callee inflates small functions that are called often
+(histogram records above all).  Interpreters without ``RESUME``
+(before 3.11) have no entry offset, so the innermost frame is charged.
 
-Coverage self-check
--------------------
+Coverage and error
+------------------
 
-``coverage(measured_ns)`` relates the attributed total to an
-*externally* measured wall time of the same run (the caller times
-``sim.run``).  Because the root ``scheduler`` phase wraps only the
-drain loops, the unattributed residue is the simulator's setup and
-result assembly — small for any realistic cell — so a healthy run
-attributes ≥ :data:`COVERAGE_FLOOR` (90%) of its measured time.  A
-collapse of that ratio means instrumentation went missing (e.g. a drain
-loop nobody wrapped), which is exactly what the CLI self-check and the
-test suite guard against.
+:meth:`Sampler.report` gives each layer's share of all samples and the
+named fraction; ``repro run --profile-phases`` requires at least
+:data:`COVERAGE_FLOOR` of the samples to be named.  A share measured
+from ``n`` samples carries a sampling error of about ``1/sqrt(n)``.
 """
 
 from __future__ import annotations
 
-import time
+import dis
+import signal
 from typing import Dict, Iterable, Optional
 
-#: Canonical phase names, in display-priority order (see module doc).
-PHASES = (
-    "scheduler", "verify", "counter_probe", "tree_update", "mac",
-    "mirage_hash", "dram", "page_fault", "tlb_walk", "pagetable", "churn",
-)
+#: CPU seconds between samples.
+INTERVAL_S = 0.001
 
-#: Minimum attributed/measured ratio for a healthy profiled run.
+#: Minimum named fraction of the samples for a healthy report.
 COVERAGE_FLOOR = 0.90
 
-#: Clock source, swappable by tests for deterministic accounting.
-_now = time.perf_counter_ns
+#: Layer of each module, and of each (module, function) override.
+LAYERS = {
+    "repro.sim.simulator": "drain",
+    "repro.sim.cpu": "drain",
+    ("repro.sim.simulator", "_churn"): "churn",
+    ("repro.sim.simulator", "_alloc_page"): "page_fault",
+    ("repro.sim.simulator", "_page_walk"): "tlb_walk",
+    "repro.osmodel.tlb": "tlb",
+    "repro.osmodel.pagetable": "pagetable",
+    "repro.osmodel.allocator": "allocator",
+    "repro.mem.cache": "cache",
+    "repro.mem.mirage": "cache",
+    ("repro.mem.mirage", "_skews"): "mirage_hash",
+    ("repro.mem.mirage", "_mix"): "mirage_hash",
+    "repro.mem.memctrl": "dram",
+    "repro.mem.dram": "dram",
+    "repro.sim.hist": "histogram",
+    "repro.sim.trace": "trace",
+    ("repro.secure.engine", "data_access"): "engine",
+    ("repro.secure.engine", "handle_writeback"): "engine",
+    ("repro.secure.static_partition", "data_access"): "engine",
+    ("repro.secure.vault", "handle_writeback"): "engine",
+    ("repro.core.pro", "data_access"): "engine",
+    ("repro.secure.engine", "_verify"): "verify",
+    ("repro.secure.counter_tree", "_verify"): "verify",
+    ("repro.secure.static_partition", "_verify"): "verify",
+    ("repro.core.ivleague", "_verify"): "verify",
+    "repro.core.nfl": "nfl",
+    "repro.core.bitvector": "nfl",
+    "repro.core.lmm": "lmm",
+    "repro.core.hotpage": "hotpage",
+}
+
+#: ``RESUME`` opcode, or None on interpreters without one.
+_RESUME = dis.opmap.get("RESUME")
 
 
-class NullProfiler:
-    """Profiling disabled: every hook is a no-op.
+def _entry_offset(code) -> int:
+    """Offset of the ``RESUME`` that starts ``code``'s body."""
+    for ins in dis.get_instructions(code):
+        if ins.opcode == _RESUME:
+            return ins.offset
+    return -1
 
-    Hook sites must guard the push/pop pair with
-    ``if profiler.enabled:`` so the off state never pays for argument
-    evaluation or clock reads.
+
+class Sampler:
+    """Context manager counting ``SIGPROF`` samples per layer.
+
+    The timer and the signal handler are process-wide, so one sampler
+    runs at a time, on the main thread.
     """
 
-    enabled = False
-    __slots__ = ()
-
-    def push(self, phase: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
-    def run_begin(self) -> None:
-        pass
-
-    def run_end(self) -> None:
-        pass
-
-
-#: Shared default instance — components point here until a real
-#: profiler is installed, so ``self.profiler`` is never ``None``.
-NULL_PROFILER = NullProfiler()
-
-
-class PhaseProfiler:
-    """Stack-based exclusive-time wall-clock phase profiler."""
-
-    enabled = True
-    __slots__ = ("phase_ns", "phase_calls", "_stack", "_t0", "measured_ns")
-
     def __init__(self) -> None:
-        #: Exclusive nanoseconds per phase (nested phases subtracted).
-        self.phase_ns: Dict[str, int] = {}
-        #: Number of times each phase was entered.
-        self.phase_calls: Dict[str, int] = {}
-        self._stack: list = []          # [phase, resume_ns] frames
-        self._t0: Optional[int] = None
-        #: Wall nanoseconds between run_begin/run_end pairs (the
-        #: profiler's own view; prefer an external measurement for the
-        #: coverage check so the check stays falsifiable).
-        self.measured_ns = 0
+        #: Samples per named layer.
+        self.samples: Dict[str, int] = {}
+        #: Samples with no named frame on the stack.
+        self.unattributed = 0
+        self._entry: dict = {}
+        self._saved_handler = None
 
-    # -- hot-path hooks -----------------------------------------------------
+    def __enter__(self) -> "Sampler":
+        self._saved_handler = signal.signal(signal.SIGPROF, self._on_sample)
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        return self
 
-    def push(self, phase: str) -> None:
-        """Enter ``phase``; charge the interval so far to the parent."""
-        now = _now()
-        stack = self._stack
-        if stack:
-            top = stack[-1]
-            name = top[0]
-            self.phase_ns[name] = (
-                self.phase_ns.get(name, 0) + now - top[1])
-        self.phase_calls[phase] = self.phase_calls.get(phase, 0) + 1
-        stack.append([phase, now])
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, self._saved_handler)
 
-    def pop(self) -> None:
-        """Leave the current phase; the parent resumes accumulating."""
-        now = _now()
-        stack = self._stack
-        name, resume = stack.pop()
-        self.phase_ns[name] = self.phase_ns.get(name, 0) + now - resume
-        if stack:
-            stack[-1][1] = now
+    def _on_sample(self, signum, frame) -> None:
+        layer = self.layer_of(frame)
+        if layer is None:
+            self.unattributed += 1
+        else:
+            self.samples[layer] = self.samples.get(layer, 0) + 1
 
-    def run_begin(self) -> None:
-        self._t0 = _now()
+    def layer_of(self, frame) -> Optional[str]:
+        """Layer charged for a sample taken in ``frame`` (None when no
+        frame on its stack is named), after the entry rule."""
+        if frame is not None and _RESUME is not None:
+            code = frame.f_code
+            entry = self._entry.get(code)
+            if entry is None:
+                entry = self._entry[code] = _entry_offset(code)
+            if frame.f_lasti <= entry:
+                frame = frame.f_back
+        while frame is not None:
+            module = frame.f_globals.get("__name__")
+            layer = (LAYERS.get((module, frame.f_code.co_name))
+                     or LAYERS.get(module))
+            if layer is not None:
+                return layer
+            frame = frame.f_back
+        return None
 
-    def run_end(self) -> None:
-        if self._t0 is not None:
-            self.measured_ns += _now() - self._t0
-            self._t0 = None
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def attributed_ns(self) -> int:
-        """Total nanoseconds charged to any phase (sum is double-count
-        free because attribution is exclusive)."""
-        return sum(self.phase_ns.values())
-
-    def coverage(self, measured_ns: Optional[int] = None) -> float:
-        """Attributed fraction of ``measured_ns`` (defaults to the
-        profiler's own run_begin/run_end window)."""
-        measured = self.measured_ns if measured_ns is None else measured_ns
-        if measured <= 0:
-            return 0.0
-        return self.attributed_ns / measured
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulation into this one."""
-        for name, ns in other.phase_ns.items():
-            self.phase_ns[name] = self.phase_ns.get(name, 0) + ns
-        for name, n in other.phase_calls.items():
-            self.phase_calls[name] = self.phase_calls.get(name, 0) + n
-        self.measured_ns += other.measured_ns
-
-    def report(self, measured_ns: Optional[int] = None) -> dict:
-        """JSON-friendly summary: per-phase self time, calls, share of
-        the measured window, plus the coverage ratio."""
-        measured = self.measured_ns if measured_ns is None else measured_ns
-        phases = []
-        for name, ns in sorted(self.phase_ns.items(),
-                               key=lambda kv: -kv[1]):
-            phases.append({
-                "phase": name,
-                "self_ns": ns,
-                "calls": self.phase_calls.get(name, 0),
-                "share": ns / measured if measured else 0.0,
-            })
+    def report(self) -> dict:
+        """JSON-friendly summary: samples and share per layer (largest
+        first), the named fraction and the floor it must clear."""
+        named = sum(self.samples.values())
+        total = named + self.unattributed
+        layers = [{"layer": name, "samples": n,
+                   "share": n / total}
+                  for name, n in sorted(self.samples.items(),
+                                        key=lambda kv: (-kv[1], kv[0]))]
         return {
-            "phases": phases,
-            "measured_ns": measured,
-            "attributed_ns": self.attributed_ns,
-            "coverage": self.coverage(measured),
+            "layers": layers,
+            "samples": total,
+            "coverage": named / total if total else 0.0,
             "coverage_floor": COVERAGE_FLOOR,
         }
 
 
 def format_phase_table(
         reports: Iterable[tuple[str, dict]]) -> tuple[str, bool]:
-    """Render per-scheme profiler reports as the CLI table.
+    """Render per-scheme sampler reports as the CLI table.
 
     Returns ``(text, ok)`` where ``ok`` is the ≥ :data:`COVERAGE_FLOOR`
     self-check over every report (the CLI exits non-zero when it fails,
-    so missing instrumentation cannot masquerade as a fast phase).
+    so a run whose samples the layer table cannot name is reported, not
+    passed off as a fast layer).
     """
-    lines = ["\nphase attribution (host wall time):",
-             f"{'scheme':18s} {'phase':14s} {'self':>9s} {'share':>7s} "
-             f"{'calls':>10s}"]
+    lines = ["\nphase attribution (sampled host CPU time):",
+             f"{'scheme':18s} {'layer':14s} {'samples':>8s} {'share':>7s}"]
     ok = True
     for scheme, rep in reports:
-        for row in rep["phases"]:
-            lines.append(
-                f"{scheme:18s} {row['phase']:14s} "
-                f"{row['self_ns'] / 1e9:8.3f}s {row['share']:6.1%} "
-                f"{row['calls']:10d}")
+        for row in rep["layers"]:
+            lines.append(f"{scheme:18s} {row['layer']:14s} "
+                         f"{row['samples']:8d} {row['share']:6.1%}")
         cov = rep["coverage"]
         status = "ok" if cov >= rep["coverage_floor"] else "LOW"
         ok &= cov >= rep["coverage_floor"]
-        lines.append(
-            f"{scheme:18s} {'(total)':14s} "
-            f"{rep['measured_ns'] / 1e9:8.3f}s "
-            f"attributed {cov:.1%} [{status}]")
+        lines.append(f"{scheme:18s} {'(total)':14s} {rep['samples']:8d} "
+                     f"named {cov:.1%} [{status}]")
     return "\n".join(lines), ok

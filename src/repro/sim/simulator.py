@@ -19,10 +19,12 @@ Page lifecycle is demand-driven: the first touch of a virtual page
 allocates a frame (and, under IvLeague, a TreeLing slot); churn events
 free random live pages which later *refault*.  Dirty LLC evictions flow
 back into the engine as write-backs (counter bump + MAC + posted write).
-Churn frees, page faults and TLB walks run inline in the generator, each
-inside its profiler phase, and a tracer changes only what is emitted:
-the caches' own ``fill`` and ``TLB.lookup`` report their events, and
-the generator adds the request, fault, walk and churn spans.
+Churn frees, page faults and TLB walks run inline in the generator
+through their own helpers (``_churn``, ``_alloc_page``, ``_page_walk``),
+which the sampling profiler (:mod:`repro.sim.profiler`) names as
+layers, and a tracer changes only what is emitted: the caches' own
+``fill`` and ``TLB.lookup`` report their events, and the generator adds
+the request, fault, walk and churn spans.
 
 Determinism rules, pinned by the golden digests (tests/test_golden.py):
 clock updates use the same operands in the same order on every path;
@@ -50,7 +52,6 @@ from repro.secure.engine import SecureMemoryEngine
 from repro.sim.config import BLOCKS_PER_PAGE, MachineConfig
 from repro.sim.cpu import CoreModel
 from repro.sim.hist import HistogramSet
-from repro.sim.profiler import NULL_PROFILER
 from repro.sim.registry import StatsRegistry
 from repro.sim.stats import CoreStats, RunResult
 from repro.sim.trace import NULL_TRACER
@@ -85,7 +86,7 @@ class Simulator:
 
     def __init__(self, config: MachineConfig, engine: SecureMemoryEngine,
                  seed: int = 123, frame_policy: str = "sequential",
-                 tracer=None, profiler=None) -> None:
+                 tracer=None) -> None:
         # ``sequential`` models a freshly booted buddy allocator (what the
         # paper's full-system runs see): first-touch faults land in mostly
         # contiguous frames, so the static baseline mapping gets its
@@ -122,12 +123,9 @@ class Simulator:
         self._h_fault = self.hists.get("page_fault")
         self._h_walk = self.hists.get("tlb_walk")
         self.tracer = NULL_TRACER
-        self.profiler = NULL_PROFILER
         self.registry = self._build_registry()
         if tracer is not None:
             self.set_tracer(tracer)
-        if profiler is not None:
-            self.set_profiler(profiler)
 
     def set_tracer(self, tracer) -> None:
         """Install one tracer across the whole machine (hierarchy, TLB,
@@ -137,16 +135,6 @@ class Simulator:
         self.hierarchy.set_tracer(tracer)
         self.tlb.tracer = tracer
         self.engine.set_tracer(tracer)
-
-    def set_profiler(self, profiler) -> None:
-        """Install one phase profiler across the machine (engine, DRAM,
-        caches; page tables pick it up at run start).  Pass
-        ``NULL_PROFILER`` to turn profiling back off."""
-        self.profiler = profiler
-        self.hierarchy.set_profiler(profiler)
-        self.engine.set_profiler(profiler)
-        for st in self._states:
-            st.page_table.profiler = profiler
 
     def _build_registry(self) -> StatsRegistry:
         """Register every stat-bearing component of this machine plus
@@ -276,8 +264,6 @@ class Simulator:
         cfg = self.config
         tr = self.tracer
         tracing = tr.enabled
-        prof = self.profiler
-        profiling = prof.enabled
         tlb = self.tlb
         tlb_sets = tlb._sets
         tlb_nsets = tlb.n_sets
@@ -367,12 +353,8 @@ class Simulator:
                     tr.cur_tid = ci
                     tr.cur_domain = domain
                     tr.clock = clock
-                if profiling:
-                    prof.push("churn")
                 t0 = clock
                 clock += churn(st, clock)
-                if profiling:
-                    prof.pop()
                 if tracing:
                     tr.complete("sim", "churn", ts=t0, dur=clock - t0,
                                 core=ci, domain=domain)
@@ -390,11 +372,7 @@ class Simulator:
             if pfn is None:
                 # The fault maps the page and fills the TLB, so no TLB
                 # probe is counted.
-                if profiling:
-                    prof.push("page_fault")
                 lat = alloc_page(st, slot, clock)
-                if profiling:
-                    prof.pop()
                 h_fault_rec(lat)
                 pfn = live[slot]
                 if tracing:
@@ -411,11 +389,7 @@ class Simulator:
                     n_tlb += 1
                 else:
                     tlb_lookup(domain, vpn)  # counts and emits the miss
-                    if profiling:
-                        prof.push("tlb_walk")
                     lat = page_walk(ci, domain, page_table, vpn, clock)
-                    if profiling:
-                        prof.pop()
                     h_walk_rec(lat)
                     if tracing:
                         tr.complete("tlb", "walk", ts=clock, dur=lat,
@@ -599,30 +573,11 @@ class Simulator:
             st.warmup_clock = 0.0
             states.append(st)
         self._states = states
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            for table in tables.values():
-                table.profiler = prof
-            prof.run_begin()
 
-        # The "scheduler" root phase wraps only the drain loops, not the
-        # whole method: the unattributed residue of an externally timed
-        # run is setup + result assembly, so the profiler's coverage
-        # self-check stays falsifiable (see repro.sim.profiler).
         if warmup:
-            if profiling:
-                prof.push("scheduler")
             self._drain(states, warmup)
-            if profiling:
-                prof.pop()
             self._reset_measurement(states)
-        if profiling:
-            prof.push("scheduler")
         self._drain(states, max(len(st.trace) for st in states))
-        if profiling:
-            prof.pop()
-            prof.run_end()
 
         result = RunResult(scheme=self.engine.name, workload=workload.name)
         for st in states:
@@ -646,10 +601,10 @@ def run_workload(config: MachineConfig, engine_cls, workload: WorkloadSpec,
                  seed: int = 123, warmup: int = 0,
                  frame_policy: str = "sequential",
                  check_invariants: bool | None = None,
-                 tracer=None, profiler=None, **engine_kwargs) -> RunResult:
+                 tracer=None, **engine_kwargs) -> RunResult:
     """Convenience: build an engine, run one workload, return the result."""
     engine = engine_cls(config, seed=seed, **engine_kwargs)
     sim = Simulator(config, engine, seed=seed, frame_policy=frame_policy,
-                    tracer=tracer, profiler=profiler)
+                    tracer=tracer)
     return sim.run(workload, warmup=warmup,
                    check_invariants=check_invariants)

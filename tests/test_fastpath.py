@@ -3,8 +3,8 @@
 The cache models offer pre-bound monomorphic probe/fill closures
 (``bind_fast_probe`` / ``bind_fast_fill``), a fused ``touch_dirty``
 probe and batched MIRAGE candidate hashing (``prime_candidates``).
-The engines bind the closures when tracing and profiling are off and
-the caches' own ``lookup``/``fill`` otherwise, and the simulator's
+The engines bind the closures when tracing is off and the caches' own
+``lookup``/``fill`` otherwise, and the simulator's
 drain loop binds its L1/L2/LLC fills the same way by tracer state, so
 both forms promise *bit-identical* behaviour in every observable:
 hit/miss outcomes, LRU order, dirty bits, victims, stats and
@@ -34,7 +34,6 @@ from repro.mem.cache import Cache
 from repro.mem.mirage import MirageCache
 from repro.sim.config import CacheConfig, tiny_config
 from repro.sim.oracle import DifferentialOracle
-from repro.sim.profiler import PhaseProfiler
 from repro.sim.simulator import Simulator
 from repro.sim.trace import EventTracer
 from repro.workloads.mixes import build_mix
@@ -258,7 +257,6 @@ def test_bound_hooks_leave_no_reference_cycle(scheme):
     cfg = tiny_config(n_cores=2)
     installs = (lambda e: None,
                 lambda e: e.set_tracer(EventTracer(limit=8)),
-                lambda e: e.set_profiler(PhaseProfiler()),
                 lambda e: DifferentialOracle(cfg, e, seed=0))
     gc.disable()
     try:

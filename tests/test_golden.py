@@ -5,7 +5,7 @@ of canonical JSON (``sort_keys``, no ``repr`` fallback, so the digest is
 the same on every supported Python) against ``golden_digests.json``:
 
 * ``untraced`` -- the M-2 stream (400 accesses per core, seed 3,
-  warm-up 100) with no tracer or profiler: the full
+  warm-up 100) with no tracer: the full
   ``RunResult.to_dict()``, the registry snapshot and the per-class
   latency histograms (summary and raw buckets);
 * ``churn`` -- the same for the M-1 stream (1600 accesses per core,
@@ -21,12 +21,12 @@ the same on every supported Python) against ``golden_digests.json``:
   re-encryption and VAULT's upper-counter overflow forced every 16
   writes): the report and the oracle's registry snapshot.
 
-A profiled run of the M-2 and M-1 streams must reproduce the
-``untraced`` and ``churn`` digests exactly and report the pinned phase
-names (``phases`` and ``churn_phases``).
+A run of the M-2 and M-1 streams inside the sampling profiler's
+:class:`Sampler` must reproduce the ``untraced`` and ``churn`` digests
+exactly.
 
-Tracing and profiling change only what the simulator's one drain loop
-reports, so these digests are its determinism spec.
+Tracing changes only what the simulator's one drain loop reports, and
+sampling changes nothing, so these digests are its determinism spec.
 
 The streams come from numpy's seeded generators, so a numpy release
 that changed a ``Generator`` stream would change the digests too.
@@ -47,7 +47,7 @@ from repro.experiments.parallel import resolve_engine
 from repro.obs.observables import project_events
 from repro.sim.config import tiny_config
 from repro.sim.oracle import DifferentialOracle
-from repro.sim.profiler import PhaseProfiler
+from repro.sim.profiler import Sampler
 from repro.sim.simulator import Simulator
 from repro.sim.trace import EventTracer
 from repro.workloads.mixes import build_mix
@@ -84,17 +84,15 @@ def _frame_policy(scheme):
             else "fragmented")
 
 
-#: Untraced streams: mix -> (accesses per core, digest key, phases key).
-STREAMS = {"M-2": (400, "untraced", "phases"),
-           "M-1": (1600, "churn", "churn_phases")}
+#: Untraced streams: mix -> (accesses per core, digest key).
+STREAMS = {"M-2": (400, "untraced"), "M-1": (1600, "churn")}
 
 
-def _sweep_run(scheme, mix="M-2", profiler=None):
+def _sweep_run(scheme, mix="M-2"):
     cfg, engine = _build(scheme)
     workload = build_mix(mix, n_accesses=STREAMS[mix][0], seed=3,
                          scale=0.05)
-    sim = Simulator(cfg, engine, seed=3, frame_policy=_frame_policy(scheme),
-                    profiler=profiler)
+    sim = Simulator(cfg, engine, seed=3, frame_policy=_frame_policy(scheme))
     result = sim.run(workload, warmup=100)
     hists = {name: {"summary": h.to_dict(),
                     "buckets": sorted(h.counts.items())}
@@ -106,12 +104,6 @@ def _sweep_run(scheme, mix="M-2", profiler=None):
 
 def untraced_digest(scheme, mix="M-2") -> str:
     return digest(_sweep_run(scheme, mix))
-
-
-def profiled_run(scheme, mix="M-2") -> tuple[str, list[str]]:
-    """Digest of a profiled untraced stream and its phase names."""
-    prof = PhaseProfiler()
-    return digest(_sweep_run(scheme, mix, prof)), sorted(prof.phase_calls)
 
 
 def traced_digest(scheme) -> str:
@@ -166,12 +158,12 @@ def test_churn_stream_matches_golden(scheme):
 
 
 @pytest.mark.parametrize("scheme", ALL_NINE)
-def test_profiled_stream_matches_untraced_golden(scheme):
+def test_sampled_stream_matches_untraced_golden(scheme):
     want = _golden()[scheme]
-    for mix, (_, key, phases_key) in STREAMS.items():
-        got, phases = profiled_run(scheme, mix)
-        assert got == want[key], f"{mix}: profiling changed the simulation"
-        assert phases == want[phases_key], mix
+    for mix, (_, key) in STREAMS.items():
+        with Sampler():
+            got = untraced_digest(scheme, mix)
+        assert got == want[key], f"{mix}: sampling changed the simulation"
 
 
 @pytest.mark.parametrize("scheme", ALL_NINE)
@@ -193,12 +185,8 @@ def main() -> None:
     golden = {}
     for scheme in ALL_NINE:
         entry = golden[scheme] = {}
-        for mix, (_, key, phases_key) in STREAMS.items():
+        for mix, (_, key) in STREAMS.items():
             entry[key] = untraced_digest(scheme, mix)
-            profiled, entry[phases_key] = profiled_run(scheme, mix)
-            if profiled != entry[key]:
-                raise SystemExit(f"{scheme} {mix}: profiling changed the "
-                                 f"simulation")
         entry["traced"] = traced_digest(scheme)
         entry["events"] = events_digest(scheme)
         entry["oracle"] = oracle_digest(scheme)

@@ -248,21 +248,17 @@ class TestFusedReplay:
         assert [d.kind for d in oracle.disagreements] == ["counter-space"]
 
     @pytest.mark.parametrize("scheme", ["baseline", "ivleague-basic"])
-    @pytest.mark.parametrize("install", ["profiler", "tracer",
-                                         "null-tracer"])
+    @pytest.mark.parametrize("install", ["tracer", "null-tracer"])
     def test_later_instrumentation_keeps_the_evidence(self, scheme,
                                                       install):
         """The observer survives every rebinding of the hooks."""
-        from repro.sim.profiler import PhaseProfiler
         from repro.sim.trace import NULL_TRACER, EventTracer
         from repro.workloads.mixes import build_mix
 
         def replay(install):
             oracle, engine = _attached_oracle(scheme, seed=5,
                                               checkpoint_every=100)
-            if install == "profiler":
-                engine.set_profiler(PhaseProfiler())
-            elif install == "tracer":
+            if install == "tracer":
                 engine.set_tracer(EventTracer(limit=8))
             elif install == "null-tracer":
                 engine.set_tracer(NULL_TRACER)

@@ -28,9 +28,11 @@ def perf_check():
     return _load_script("perf_check")
 
 
-def _payload(tput=4.0, warm=0.05, quick=True, n_accesses=2000):
+def _payload(tput=4.0, warm=0.05, quick=True, n_accesses=2000,
+             phases=None):
     """Minimal BENCH_runner payload shaped like bench.py's output."""
     return {
+        "phase_attribution": phases,
         "bench": "experiment-runner",
         "host": {"cpus": 4, "platform": "linux"},
         "sweep": {"quick": quick, "n_cells": 8, "n_accesses": n_accesses},
@@ -122,6 +124,38 @@ class TestCheck:
         records.append(_record(bench, tput=3.5))
         ok, _ = perf_check.check(records, window=5, tolerance=0.25)
         assert ok
+
+
+class TestWorstPhaseShift:
+    def test_names_the_largest_growth(self, bench, perf_check):
+        base = {"baseline": {"drain": 0.5, "verify": 0.3, "dram": 0.2}}
+        records = [_record(bench, tput=4.0, phases=base)
+                   for _ in range(3)]
+        records.append(_record(bench, tput=2.0, phases={
+            "baseline": {"drain": 0.4, "verify": 0.45, "dram": 0.15}}))
+        shift = perf_check.worst_phase_shift(records[-1], records[:-1])
+        assert shift[0] == "verify"
+        assert shift[1:] == pytest.approx((0.45, 0.15))
+        ok, msgs = perf_check.check(records)
+        assert not ok
+        assert any("suspect phase: 'verify'" in m for m in msgs)
+
+    def test_ignores_a_phase_absent_from_every_baseline(self, bench,
+                                                        perf_check):
+        # a layer the profiler newly names would otherwise be blamed
+        # with its whole share
+        base = [_record(bench, phases={"baseline": {"verify": 0.4,
+                                                    "dram": 0.6}})]
+        latest = _record(bench, phases={"baseline": {
+            "verify": 0.3, "dram": 0.2, "cache": 0.5}})
+        assert perf_check.worst_phase_shift(latest, base)[0] == "verify"
+
+    def test_none_without_attribution_on_either_side(self, bench,
+                                                     perf_check):
+        attributed = _record(bench, phases={"baseline": {"drain": 1.0}})
+        bare = _record(bench)
+        assert perf_check.worst_phase_shift(bare, [attributed]) is None
+        assert perf_check.worst_phase_shift(attributed, [bare]) is None
 
 
 class TestMain:

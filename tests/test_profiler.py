@@ -1,17 +1,21 @@
-"""Tests for the phase-attribution profiler: deterministic
-exclusive-time accounting under a fake clock, zero perturbation of
-simulation results, the ≥90% coverage self-check against real runs,
-and the CLI ``--profile-phases`` plumbing."""
+"""Tests for the sampling layer profiler: the layer table, the entry
+rule, the coverage self-check on real runs, zero perturbation of
+simulation results, the fused hooks under sampling, and the CLI
+``--profile-phases`` plumbing."""
 
-import time
+import dis
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from repro import ENGINES
 from repro.secure.engine import BaselineEngine
-from repro.sim import profiler as profiler_mod
-from repro.sim.profiler import (COVERAGE_FLOOR, NULL_PROFILER, NullProfiler,
-                                PhaseProfiler, format_phase_table)
+from repro.sim.profiler import (COVERAGE_FLOOR, LAYERS, Sampler,
+                                format_phase_table)
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import build_workload
 
@@ -20,159 +24,179 @@ def _wl(n=1200):
     return build_workload("p", ["gcc", "x264"], n, seed=1, scale=0.03)
 
 
-class TestNullProfiler:
-    def test_disabled_and_noop(self):
-        p = NullProfiler()
-        assert p.enabled is False
-        assert p.push("verify") is None
-        assert p.pop() is None
-        assert p.run_begin() is None
-        assert p.run_end() is None
+def _function_names(module) -> set:
+    """``co_name`` of every function compiled from ``module``'s source,
+    methods and nested closures included."""
+    path = module.__file__
+    todo = [compile(Path(path).read_text(), path, "exec")]
+    names = set()
+    while todo:
+        code = todo.pop()
+        if code.co_flags & inspect.CO_NEWLOCALS:
+            names.add(code.co_name)
+        todo.extend(c for c in code.co_consts
+                    if isinstance(c, types.CodeType))
+    return names
 
-    def test_shared_singleton(self):
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        assert not NULL_PROFILER.enabled
+
+class TestLayerTable:
+    def test_layer_names(self):
+        assert set(LAYERS.values()) == {
+            "drain", "churn", "page_fault", "tlb_walk", "tlb",
+            "pagetable", "allocator", "cache", "mirage_hash", "dram",
+            "histogram", "trace", "engine", "verify", "nfl", "lmm",
+            "hotpage"}
+
+    def test_every_key_names_existing_code(self):
+        """Renaming a named function (``_verify``, ``_alloc_page``)
+        fails here instead of silently sending its layer's samples to
+        the caller."""
+        for key in LAYERS:
+            name, func = key if isinstance(key, tuple) else (key, None)
+            module = importlib.import_module(name)
+            if func is not None:
+                assert func in _function_names(module), key
+
+    def test_function_names_see_nested_closures(self):
+        from repro.mem import memctrl
+        assert "read_meta" in _function_names(memctrl)
 
 
-class FakeClock:
-    """Deterministic replacement for ``profiler._now``."""
+def _callee():
+    pass
 
-    def __init__(self):
-        self.t = 0
 
-    def advance(self, ns):
-        self.t += ns
+def _caller(callee=_callee):
+    return callee()
 
-    def __call__(self):
-        return self.t
+
+def _gen():
+    yield
 
 
 @pytest.fixture
-def clock(monkeypatch):
-    clk = FakeClock()
-    monkeypatch.setattr(profiler_mod, "_now", clk)
-    return clk
+def named(monkeypatch):
+    """Name this module's probe functions as layers of their own."""
+    for func in ("_callee", "_caller", "_gen"):
+        monkeypatch.setitem(LAYERS, (__name__, func), func)
 
 
-class TestExclusiveAttribution:
-    def test_nested_phase_carves_out_of_parent(self, clock):
-        p = PhaseProfiler()
-        p.push("scheduler")
-        clock.advance(10)
-        p.push("dram")          # scheduler charged 10 here
-        clock.advance(5)
-        p.pop()                 # dram charged 5, scheduler resumes
-        clock.advance(7)
-        p.pop()                 # scheduler charged 7 more
-        assert p.phase_ns == {"scheduler": 17, "dram": 5}
-        assert p.phase_calls == {"scheduler": 1, "dram": 1}
-        assert p.attributed_ns == 22
+class TestEntryRule:
+    """A sample taken at or before a frame's ``RESUME`` is charged to
+    its caller; interpreters without ``RESUME`` charge the frame."""
 
-    def test_sibling_phases_accumulate_independently(self, clock):
-        p = PhaseProfiler()
-        for ns in (3, 4):
-            p.push("verify")
-            clock.advance(ns)
-            p.pop()
-        p.push("mac")
-        clock.advance(6)
-        p.pop()
-        assert p.phase_ns == {"verify": 7, "mac": 6}
-        assert p.phase_calls == {"verify": 2, "mac": 1}
+    has_resume = "RESUME" in dis.opmap
 
-    def test_run_window_and_coverage(self, clock):
-        p = PhaseProfiler()
-        p.run_begin()
-        p.push("scheduler")
-        clock.advance(80)
-        p.pop()
-        clock.advance(20)       # unattributed tail (result assembly)
-        p.run_end()
-        assert p.measured_ns == 100
-        assert p.coverage() == pytest.approx(0.80)
-        # the falsifiable form: an external, larger measurement
-        assert p.coverage(measured_ns=200) == pytest.approx(0.40)
-        assert p.coverage(measured_ns=0) == 0.0
+    def test_frame_at_its_first_instruction_goes_to_caller(self, named):
+        sampler = Sampler()
+        charged = []
 
-    def test_merge_adds_time_and_calls(self, clock):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        a.push("dram")
-        clock.advance(5)
-        a.pop()
-        b.push("dram")
-        clock.advance(7)
-        b.pop()
-        b.push("mac")
-        clock.advance(2)
-        b.pop()
-        a.merge(b)
-        assert a.phase_ns == {"dram": 12, "mac": 2}
-        assert a.phase_calls == {"dram": 2, "mac": 1}
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code is _callee.__code__:
+                charged.append((frame.f_lasti, sampler.layer_of(frame)))
 
-    def test_report_sorts_by_self_time(self, clock):
-        p = PhaseProfiler()
-        p.push("mac")
-        clock.advance(2)
-        p.pop()
-        p.push("dram")
-        clock.advance(9)
-        p.pop()
-        rep = p.report(measured_ns=11)
-        assert [row["phase"] for row in rep["phases"]] == ["dram", "mac"]
-        assert rep["phases"][0]["share"] == pytest.approx(9 / 11)
-        assert rep["coverage"] == pytest.approx(1.0)
-        assert rep["coverage_floor"] == COVERAGE_FLOOR
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            _caller()
+        finally:
+            sys.setprofile(previous)
+        (lasti, layer), = charged
+        assert layer == ("_caller" if self.has_resume else "_callee")
+        if self.has_resume:
+            assert lasti == 0
+        # A not-yet-started generator stops before its RESUME and has no
+        # caller yet, so nothing on its stack is named.
+        gen = _gen()
+        assert sampler.layer_of(gen.gi_frame) == (
+            None if self.has_resume else "_gen")
+
+    def test_frame_past_its_resume_is_charged_to_itself(self, named):
+        gen = _gen()
+        next(gen)
+        assert Sampler().layer_of(gen.gi_frame) == "_gen"
+
+    def test_unnamed_frames_fall_through_to_the_caller(self, named):
+        sampler = Sampler()
+        assert _caller(lambda: sampler.layer_of(sys._getframe())) \
+            == "_caller"
+        # no named frame on the stack: unattributed
+        assert sampler.layer_of(sys._getframe()) is None
+
+
+def _report(named, unattributed):
+    sampler = Sampler()
+    sampler.samples["drain"] = named
+    sampler.unattributed = unattributed
+    return sampler.report()
 
 
 class TestFormatPhaseTable:
-    def _report(self, clock, attributed, measured):
-        p = PhaseProfiler()
-        p.push("scheduler")
-        clock.advance(attributed)
-        p.pop()
-        return p.report(measured_ns=measured)
-
-    def test_ok_when_all_reports_clear_the_floor(self, clock):
-        text, ok = format_phase_table(
-            [("baseline", self._report(clock, 95, 100))])
+    def test_ok_when_all_reports_clear_the_floor(self):
+        text, ok = format_phase_table([("baseline", _report(95, 5))])
         assert ok
-        assert "scheduler" in text and "[ok]" in text
+        assert "drain" in text and "[ok]" in text
 
-    def test_flags_low_coverage(self, clock):
-        reports = [("baseline", self._report(clock, 95, 100)),
-                   ("ivleague-pro", self._report(clock, 50, 100))]
+    def test_flags_low_coverage(self):
+        reports = [("baseline", _report(95, 5)),
+                   ("ivleague-pro", _report(50, 50))]
         text, ok = format_phase_table(reports)
         assert not ok
         assert "[LOW]" in text and "[ok]" in text
 
 
 class TestProfiledRuns:
-    """The acceptance criteria: real runs attribute ≥90% of externally
-    measured wall time without changing any result."""
+    """Real runs name ≥90% of their samples without changing any
+    result, and sample the fused hooks every figure runs."""
 
     @pytest.mark.parametrize("scheme", ["baseline", "ivleague-pro"])
     def test_coverage_floor_on_real_runs(self, tiny, scheme):
-        prof = PhaseProfiler()
-        sim = Simulator(tiny, ENGINES[scheme](tiny), profiler=prof)
-        t0 = time.perf_counter_ns()
-        sim.run(_wl(), warmup=300)
-        wall = time.perf_counter_ns() - t0
-        assert prof.coverage(wall) >= COVERAGE_FLOOR, (
-            f"{scheme}: attributed only "
-            f"{prof.coverage(wall):.1%} of {wall / 1e6:.1f}ms")
-        # the root phase and the model phases both show up
-        assert "scheduler" in prof.phase_ns
-        assert "dram" in prof.phase_ns
-        assert "verify" in prof.phase_ns
+        sim = Simulator(tiny, ENGINES[scheme](tiny))
+        with Sampler() as sampler:
+            sim.run(_wl(8000), warmup=300)
+        rep = sampler.report()
+        assert rep["samples"] > 0, "no SIGPROF sample arrived"
+        assert rep["coverage"] >= COVERAGE_FLOOR, (
+            f"{scheme}: named only {rep['coverage']:.1%} of "
+            f"{rep['samples']} samples")
+        assert "drain" in sampler.samples
 
     def test_profiling_does_not_change_simulation(self, tiny):
         wl = _wl()
-        plain = Simulator(tiny, BaselineEngine(tiny))
-        profiled = Simulator(tiny, BaselineEngine(tiny),
-                             profiler=PhaseProfiler())
-        r0 = plain.run(wl, warmup=300)
-        r1 = profiled.run(wl, warmup=300)
+        r0 = Simulator(tiny, BaselineEngine(tiny)).run(wl, warmup=300)
+        with Sampler():
+            r1 = Simulator(tiny, BaselineEngine(tiny)).run(wl, warmup=300)
         assert r0.registry_snapshot == r1.registry_snapshot
+
+    @pytest.mark.parametrize("scheme", ["baseline", "ivleague-pro"])
+    def test_sampled_run_binds_the_fused_hooks(self, tiny, scheme,
+                                               monkeypatch):
+        """The engine never calls a cache's own ``lookup`` or the
+        controller's ``read``/``write``.  Page walks do, through the
+        hierarchy and the controller, so their calls are set apart."""
+        from repro.mem.cache import Cache
+        from repro.mem.hierarchy import CacheHierarchy
+        from repro.mem.memctrl import MemoryController
+        from repro.mem.mirage import MirageCache
+
+        walk_code = {Simulator._page_walk.__code__,
+                     CacheHierarchy.access.__code__}
+        calls, walk_calls = [], []
+        for cls, attr in ((MemoryController, "read"),
+                          (MemoryController, "write"),
+                          (Cache, "lookup"), (MirageCache, "lookup")):
+            def counted(*args, _orig=getattr(cls, attr),
+                        _name=f"{cls.__name__}.{attr}", **kwargs):
+                caller = sys._getframe(1).f_code
+                (walk_calls if caller in walk_code else calls).append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(cls, attr, counted)
+        engine = ENGINES[scheme](tiny)
+        with Sampler():
+            Simulator(tiny, engine).run(_wl(), warmup=300)
+        assert not engine._instrumented
+        assert walk_calls, "no page walk ran: the spy proves nothing"
+        assert calls == []
 
 
 class TestCliProfilePhases:
@@ -183,4 +207,4 @@ class TestCliProfilePhases:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "phase attribution" in out
-        assert "scheduler" in out and "[ok]" in out
+        assert "drain" in out and "[ok]" in out

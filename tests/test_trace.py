@@ -276,22 +276,20 @@ class TestOverheadGuard:
 
     def test_batched_core_disabled_telemetry_under_5_percent(
             self, tiny, monkeypatch):
-        """The simulator with tracer, profiler and metrics off must stay
-        under a 5% telemetry budget.
+        """The simulator with tracer and metrics off must stay under a 5%
+        telemetry budget.
 
         Tighter than the bound above because the drain loop reads
         ``enabled`` once per drain, not per event; the remaining guard
         checks sit on engine, fault and walk paths.  The drain loop's
-        tests of its cached ``tracing`` and ``profiling`` flags read no
-        ``enabled`` and are not counted here; they come to about two per
-        access, and every access emits at least one event, so the bound
-        above (two guards per emitted event) charges them.  The count is
-        exact: ``enabled`` on both null singletons becomes a counting
-        property for one run, then the product with a microbenchmarked
-        guard cost is compared against an uninstrumented run's wall
-        time.
+        tests of its cached ``tracing`` flag read no ``enabled`` and are
+        not counted here; they come to about two per access, and every
+        access emits at least one event, so the bound above (two guards
+        per emitted event) charges them.  The count is exact:
+        ``enabled`` on the null tracer becomes a counting property for
+        one run, then the product with a microbenchmarked guard cost is
+        compared against an uninstrumented run's wall time.
         """
-        from repro.sim import profiler as profiler_mod
         wl = _wl(2000)
         counts = {"n": 0}
 
@@ -301,8 +299,6 @@ class TestOverheadGuard:
 
         with monkeypatch.context() as mp:
             mp.setattr(NullTracer, "enabled", property(_counting))
-            mp.setattr(profiler_mod.NullProfiler, "enabled",
-                       property(_counting))
             Simulator(tiny, BaselineEngine(tiny)).run(wl)
         n_checks = counts["n"]
         assert n_checks > 0, "no guard site was exercised at all"
