@@ -316,12 +316,9 @@ def campaign_key(spec: CampaignSpec) -> str:
 
 
 def campaign_cache(root: Optional[str] = None):
-    """Persistent campaign cache (``None`` when caching is disabled)."""
-    from repro.experiments.parallel import (ResultCache,
-                                            cache_disabled_by_env,
-                                            default_cache_dir)
-    if cache_disabled_by_env():
-        return None
+    """Persistent campaign cache (default: ``campaigns/`` in the cache
+    dir)."""
+    from repro.experiments.parallel import ResultCache, default_cache_dir
     return ResultCache(root or os.path.join(default_cache_dir(),
                                             "campaigns"),
                        payload_types=(CampaignResult,))

@@ -3,7 +3,6 @@
 Commands
 --------
 run            simulate one workload mix under one or all schemes
-serve          async HTTP/JSON simulation service over the result cache
 attack         run the MetaLeak demonstration
 verify-oracle  differential functional-vs-timing replay + fault campaigns
 check-leakage  paired-secret leakage contracts + mutation self-proof
@@ -123,43 +122,6 @@ def _cmd_run(args) -> int:
             json.dump(payload, f, indent=2, sort_keys=True)
         print(f"wrote measurement-window stats to {args.dump_stats}")
     return rc
-
-
-def _cmd_serve(args) -> int:
-    """Run the async simulation service until interrupted."""
-    import asyncio
-
-    from repro.experiments.parallel import default_jobs
-    from repro.serve import DEFAULT_SERVE_TIMEOUT, ServeApp
-
-    jobs = args.jobs if args.jobs else default_jobs()
-    timeout = (DEFAULT_SERVE_TIMEOUT if args.cell_timeout is None
-               else (args.cell_timeout or None))
-    app = ServeApp(host=args.host, port=args.port,
-                   cache_dir=args.cache_dir, jobs=jobs,
-                   queue_depth=args.queue_depth,
-                   cell_timeout=timeout,
-                   memo_size=args.memo_size,
-                   max_accesses=args.max_accesses,
-                   events_log=args.events_log)
-
-    async def _main() -> None:
-        port = await app.start()
-        print(f"repro serve listening on http://{app.host}:{port}  "
-              f"(jobs={jobs}, queue-depth={args.queue_depth}, "
-              f"cache={app.cache.root})", flush=True)
-        assert app._server is not None
-        try:
-            async with app._server:
-                await app._server.serve_forever()
-        finally:
-            await app.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        print("repro serve: shutting down")
-    return 0
 
 
 def _cmd_attack(args) -> int:
@@ -372,7 +334,9 @@ def _configure_runner(args) -> None:
         progress=args.progress)
 
 
-def _add_runner_flags(sub) -> None:
+def _add_runner_flags(sub, progress: bool = True) -> None:
+    """--jobs/--no-cache/--cache-dir, plus --progress for the commands
+    whose sweeps go through :func:`_configure_runner`."""
     sub.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="simulate up to N cells in parallel worker "
                           "processes (default: serial, or $REPRO_JOBS)")
@@ -382,11 +346,12 @@ def _add_runner_flags(sub) -> None:
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persistent result cache location "
                           "(default: .cache/runs, or $REPRO_CACHE_DIR)")
-    sub.add_argument("--progress", default=None, nargs="?", const="1",
-                     metavar="PATH",
-                     help="live per-cell progress on stderr; with PATH, "
-                          "also append structured JSONL events there "
-                          "(default: $REPRO_PROGRESS)")
+    if progress:
+        sub.add_argument("--progress", default=None, nargs="?", const="1",
+                         metavar="PATH",
+                         help="live per-cell progress on stderr; with "
+                              "PATH, also append structured JSONL events "
+                              "there (default: $REPRO_PROGRESS)")
 
 
 def _cmd_experiment(args) -> int:
@@ -477,39 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "if under 90%% of samples are named")
     run.set_defaults(func=_cmd_run)
 
-    srv = sub.add_parser(
-        "serve",
-        help="async HTTP/JSON simulation service: warm cells from the "
-             "result cache, cold cells on a bounded worker queue")
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=8642,
-                     help="listen port (0 picks a free one; default "
-                          "8642)")
-    srv.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="simulation worker processes (default: "
-                          "$REPRO_JOBS or 1)")
-    srv.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                     help="max outstanding cold cells before the "
-                          "server sheds load with 429 (default 16)")
-    srv.add_argument("--cell-timeout", type=float, default=None,
-                     metavar="S",
-                     help="per-cell wall-clock budget in seconds; a "
-                          "hung cell becomes a timeout failure "
-                          "(default 120, 0 disables)")
-    srv.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="shared result store (default: .cache/runs, "
-                          "or $REPRO_CACHE_DIR)")
-    srv.add_argument("--memo-size", type=int, default=1024,
-                     help="in-memory LRU of response envelopes "
-                          "(default 1024)")
-    srv.add_argument("--max-accesses", type=int, default=200_000,
-                     help="largest accepted per-cell trace length "
-                          "(default 200000)")
-    srv.add_argument("--events-log", default=None, metavar="PATH",
-                     help="also append progress events as JSONL to "
-                          "PATH (the --progress schema)")
-    srv.set_defaults(func=_cmd_serve)
-
     atk = sub.add_parser("attack", help="MetaLeak demonstration")
     atk.add_argument("--bits", type=int, default=128)
     atk.set_defaults(func=_cmd_attack)
@@ -533,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "detection matrix, sensitivity) to PATH")
     vor.add_argument("--skip-model-faults", action="store_true",
                      help="skip the engine-bug sensitivity arm")
-    _add_runner_flags(vor)
+    _add_runner_flags(vor, progress=False)
     vor.set_defaults(func=_cmd_verify_oracle)
 
     lkg = sub.add_parser(
@@ -561,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "first divergences, MI estimates) to PATH")
     lkg.add_argument("--skip-mutations", action="store_true",
                      help="skip the mutation self-proof arm")
-    _add_runner_flags(lkg)
+    _add_runner_flags(lkg, progress=False)
     lkg.set_defaults(func=_cmd_check_leakage)
 
     exp = sub.add_parser("experiment", help="regenerate a table/figure")

@@ -52,7 +52,6 @@ DEFAULT_CACHE_DIR = os.path.join(".cache", "runs")
 
 #: Environment overrides honoured by :func:`default_cache_dir`.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-NO_CACHE_ENV = "REPRO_NO_CACHE"
 JOBS_ENV = "REPRO_JOBS"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
@@ -65,10 +64,6 @@ TRANSIENT_FAILURE_KINDS = frozenset({"timeout", "worker-crashed"})
 
 def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-def cache_disabled_by_env() -> bool:
-    return os.environ.get(NO_CACHE_ENV, "0") not in ("", "0")
 
 
 def default_jobs() -> int:
@@ -86,8 +81,7 @@ def cell_timeout_from_env() -> float | None:
     """Per-cell wall-clock budget from ``REPRO_CELL_TIMEOUT`` (seconds).
 
     Unset, empty or ``0`` means no timeout — the batch default, where a
-    long cell is usually a big cell, not a hung one.  Long-running
-    services (``repro serve``) pass an explicit timeout instead.
+    long cell is usually a big cell, not a hung one.
     """
     raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
     if not raw:
@@ -141,12 +135,6 @@ def call_with_timeout(worker, spec, timeout: float | None):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old_handler)
-
-
-def _timed_worker(worker, spec, timeout):
-    """Module-level pool entry point wrapping ``worker`` in the budget
-    (module-level so it crosses the process-pool pickle boundary)."""
-    return call_with_timeout(worker, spec, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +334,6 @@ class ResultCache:
 
     def get(self, key: str):
         """Cached outcome for ``key`` or ``None`` (never raises)."""
-        entry = self.get_entry(key)
-        return entry[0] if entry is not None else None
-
-    def get_entry(self, key: str):
-        """``(outcome, cell)`` for ``key`` or ``None`` (never raises).
-
-        Like :meth:`get` but also returning the spec echo stored next
-        to the outcome (``None`` for non-Cell payloads) — the serve
-        layer rebuilds response provenance from it.
-        """
         path = self._path(key)
         try:
             try:
@@ -384,7 +362,7 @@ class ResultCache:
                 pass
             return None
         self.hits += 1
-        return outcome, payload.get("cell")
+        return outcome
 
     def put(self, key: str, outcome, cell: Cell | None = None) -> None:
         """Persist ``outcome`` under ``key``; best-effort (never raises)."""
@@ -542,9 +520,9 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
     ``reporter`` (a :class:`repro.obs.progress.ProgressReporter`) and
     ``metrics`` (a :class:`repro.obs.metrics.Metrics`) opt into
     telemetry: lifecycle events per cell, per-cell wall time and worker
-    peak RSS, live results via ``as_completed``.  With both ``None``
-    (the default) the execution path is byte-for-byte the untelemetered
-    one — no wrapper callable, no extra pickling.
+    peak RSS, live results via ``as_completed``.  Every cold cell runs
+    through :func:`_instrumented` either way; with both ``None`` (the
+    default) its telemetry is simply dropped.
 
     ``timeout`` bounds each cell's wall-clock time: a hung worker is
     interrupted (see :func:`call_with_timeout`) and its cell becomes a
@@ -573,7 +551,6 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
         else:
             pending.append((key, spec))
 
-    telemetry = reporter is not None or metrics is not None
     if reporter is not None:
         reporter.sweep_start(total=len(seen), cached=len(cached), jobs=jobs)
         for key, spec in cached:
@@ -582,65 +559,37 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
         metrics.counter("cells_total").inc(len(seen))
         metrics.counter("cells_cached").inc(len(cached))
 
-    if pending:
-        if not telemetry:
-            if jobs <= 1 or len(pending) == 1:
-                fresh = [(key, call_with_timeout(worker, spec, timeout))
-                         for key, spec in pending]
-            else:
-                workers = min(jobs, len(pending))
-                with ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=_pool_context()) as pool:
-                    if timeout:
-                        futures = [(key, pool.submit(_timed_worker, worker,
-                                                     spec, timeout))
-                                   for key, spec in pending]
-                    else:
-                        futures = [(key, pool.submit(worker, spec))
-                                   for key, spec in pending]
-                    fresh = []
-                    for key, fut in futures:
-                        try:
-                            fresh.append((key, fut.result()))
-                        except BrokenProcessPool as exc:
-                            fresh.append((key, _crash_failure(exc)))
-        elif jobs <= 1 or len(pending) == 1:
-            fresh = []
+    if jobs <= 1 or len(pending) <= 1:
+        for key, spec in pending:
+            if reporter is not None:
+                reporter.cell_start(key, label=_spec_label(spec))
+            outcome, meta = _instrumented(worker, spec, timeout)
+            _note_done(reporter, metrics, key, spec, outcome, meta)
+            outcomes[key] = outcome
+    else:
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(pending)),
+                mp_context=_pool_context()) as pool:
+            fut_info = {}
             for key, spec in pending:
                 if reporter is not None:
                     reporter.cell_start(key, label=_spec_label(spec))
-                outcome, meta = _instrumented(worker, spec, timeout)
+                fut = pool.submit(_instrumented, worker, spec, timeout)
+                fut_info[fut] = (key, spec)
+            # as_completed so progress is live, not end-of-sweep.
+            for fut in as_completed(fut_info):
+                key, spec = fut_info[fut]
+                try:
+                    outcome, meta = fut.result()
+                except BrokenProcessPool as exc:
+                    outcome = _crash_failure(exc)
+                    meta = {"wall_s": 0.0, "peak_rss_kb": 0, "metrics": {}}
                 _note_done(reporter, metrics, key, spec, outcome, meta)
-                fresh.append((key, outcome))
-        else:
-            workers = min(jobs, len(pending))
-            done: dict[str, object] = {}
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context()) as pool:
-                fut_info = {}
-                for key, spec in pending:
-                    if reporter is not None:
-                        reporter.cell_start(key, label=_spec_label(spec))
-                    fut = pool.submit(_instrumented, worker, spec, timeout)
-                    fut_info[fut] = (key, spec)
-                # as_completed so progress is live, not end-of-sweep.
-                for fut in as_completed(fut_info):
-                    key, spec = fut_info[fut]
-                    try:
-                        outcome, meta = fut.result()
-                    except BrokenProcessPool as exc:
-                        outcome = _crash_failure(exc)
-                        meta = {"wall_s": 0.0, "peak_rss_kb": 0,
-                                "metrics": {}}
-                    done[key] = outcome
-                    _note_done(reporter, metrics, key, spec, outcome, meta)
-            fresh = [(key, done[key]) for key, _ in pending]
-        for (key, spec), (_, outcome) in zip(pending, fresh):
-            outcomes[key] = outcome
-            if cache is not None and not is_transient_failure(outcome):
-                cache.put(key, outcome,
+                outcomes[key] = outcome
+    if cache is not None:
+        for key, spec in pending:
+            if not is_transient_failure(outcomes[key]):
+                cache.put(key, outcomes[key],
                           spec if isinstance(spec, Cell) else None)
 
     if reporter is not None:

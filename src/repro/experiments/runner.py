@@ -37,7 +37,7 @@ SCHEMES = list(ENGINES)   # baseline, ivleague-basic, -invert, -pro
 
 #: Process-wide execution policy; see :func:`configure`.
 _JOBS: int = parallel.default_jobs()
-_USE_CACHE: bool = not parallel.cache_disabled_by_env()
+_USE_CACHE: bool = True
 _CACHE_DIR: str | None = None
 _DISK_CACHE: ResultCache | None = None
 #: Progress-telemetry setting ("0" off, "1" live line, else JSONL path);

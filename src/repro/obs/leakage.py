@@ -594,12 +594,8 @@ def pair_key(spec: PairSpec) -> str:
 
 
 def pair_cache(root: Optional[str] = None):
-    """Persistent pair cache (``None`` when caching is disabled)."""
-    from repro.experiments.parallel import (ResultCache,
-                                            cache_disabled_by_env,
-                                            default_cache_dir)
-    if cache_disabled_by_env():
-        return None
+    """Persistent pair cache (default: ``leakage/`` in the cache dir)."""
+    from repro.experiments.parallel import ResultCache, default_cache_dir
     return ResultCache(root or os.path.join(default_cache_dir(), "leakage"),
                        payload_types=(PairResult,))
 

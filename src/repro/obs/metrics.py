@@ -3,9 +3,7 @@
 Where :class:`repro.sim.registry.StatsRegistry` holds *model* counters
 (things conservation laws are written about), this module holds
 *harness* measurements: cells executed, cache hits, wall seconds, peak
-RSS.  The two meet through :meth:`Metrics.register`, which publishes a
-metrics set into a StatsRegistry as a custom entry, so snapshots,
-warmup resets and ``--dump-stats`` artifacts see one unified view.
+RSS, leakage verdicts.
 
 Design points:
 
@@ -17,18 +15,14 @@ Design points:
   instrument up once and hold it.
 * **Snapshots are plain dicts** (JSON-ready) and **mergeable** across
   process boundaries: counters and timers add, gauges keep the max —
-  the right fold for the gauges this harness uses (peak RSS, queue
-  high-water marks).  A merged snapshot from N pool workers therefore
-  reads like one process's totals.
+  the right fold for the gauges this harness uses (peak RSS).  A
+  merged snapshot from N pool workers therefore reads like one
+  process's totals.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from typing import Dict
-
-from repro.sim.hist import LatencyHistogram
 
 
 def series_key(name: str, labels: dict) -> str:
@@ -52,15 +46,12 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value; merged across processes by max."""
+    """High-water mark; merged across processes by max."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def set_max(self, value: float) -> None:
         if value > self.value:
@@ -80,18 +71,6 @@ class Timer:
         self.total_s += seconds
         self.count += 1
 
-    @contextmanager
-    def time(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - t0)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
 
 class Metrics:
     """A set of labeled instruments with snapshot/merge semantics."""
@@ -100,7 +79,6 @@ class Metrics:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, Timer] = {}
-        self._hists: Dict[str, LatencyHistogram] = {}
 
     # -- instrument access (memoized per name+labels) -----------------------
 
@@ -125,40 +103,20 @@ class Metrics:
             inst = self._timers[key] = Timer()
         return inst
 
-    def histogram(self, name: str, **labels) -> LatencyHistogram:
-        """Log-bucketed distribution (the PR 2 HDR-style histogram) —
-        for per-endpoint service latency (p50/p99), queue waits, and
-        anything else where a mean hides the tail.  Record integer
-        units (e.g. microseconds) for exact linear-region percentiles."""
-        key = series_key(name, labels)
-        inst = self._hists.get(key)
-        if inst is None:
-            inst = self._hists[key] = LatencyHistogram()
-        return inst
-
     # -- snapshot / merge ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-ready view, structured by instrument kind."""
-        snap = {
+        return {
             "counters": {k: c.value for k, c in self._counters.items()},
             "gauges": {k: g.value for k, g in self._gauges.items()},
             "timers": {k: {"total_s": t.total_s, "count": t.count}
                        for k, t in self._timers.items()},
         }
-        if self._hists:
-            snap["histograms"] = {
-                k: {"count": h.count, "sum": h.total,
-                    "mean": h.mean, "p50": h.percentile(50),
-                    "p95": h.percentile(95), "p99": h.percentile(99),
-                    "buckets": {str(i): n for i, n in h.counts.items()}}
-                for k, h in self._hists.items()}
-        return snap
 
     def merge(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` (e.g. from a pool worker) into this
-        set: counters, timers and histogram buckets add, gauges keep
-        the max."""
+        set: counters and timers add, gauges keep the max."""
         for key, v in snap.get("counters", {}).items():
             self.counter_by_key(key).inc(v)
         for key, v in snap.get("gauges", {}).items():
@@ -167,18 +125,6 @@ class Metrics:
             t = self.timer_by_key(key)
             t.total_s += v["total_s"]
             t.count += v["count"]
-        for key, v in snap.get("histograms", {}).items():
-            h = self._hists.get(key)
-            if h is None:
-                h = self._hists[key] = LatencyHistogram()
-            for idx, n in v.get("buckets", {}).items():
-                idx = int(idx)
-                h.counts[idx] = h.counts.get(idx, 0) + n
-            h.count += v["count"]
-            h.total += v["sum"]
-            if h.counts:
-                h.min = h.bucket_bounds(min(h.counts))[0]
-                h.max = h.bucket_bounds(max(h.counts))[1] - 1
 
     # Pre-canonicalised access, for merge and for callers that carry the
     # full series key around (label round-tripping not required).
@@ -199,37 +145,3 @@ class Metrics:
         if inst is None:
             inst = self._timers[key] = Timer()
         return inst
-
-    def reset(self) -> None:
-        """Zero every instrument (keeps the series registered)."""
-        for c in self._counters.values():
-            c.value = 0
-        for g in self._gauges.values():
-            g.value = 0.0
-        for t in self._timers.values():
-            t.total_s = 0.0
-            t.count = 0
-        for h in self._hists.values():
-            h.reset()
-
-    # -- StatsRegistry integration ------------------------------------------
-
-    def register(self, registry, group: str = "obs") -> None:
-        """Publish this metrics set into a StatsRegistry as one custom
-        entry, so registry snapshots/resets cover it uniformly."""
-        registry.register_custom(group, reset=self.reset,
-                                 values=self._flat_values)
-
-    def _flat_values(self) -> dict:
-        flat: dict = {}
-        for key, c in self._counters.items():
-            flat[f"counter.{key}"] = c.value
-        for key, g in self._gauges.items():
-            flat[f"gauge.{key}"] = g.value
-        for key, t in self._timers.items():
-            flat[f"timer.{key}.total_s"] = t.total_s
-            flat[f"timer.{key}.count"] = t.count
-        for key, h in self._hists.items():
-            flat[f"hist.{key}.count"] = h.count
-            flat[f"hist.{key}.sum"] = h.total
-        return flat

@@ -54,6 +54,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "S-1", "--scheme", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve"],
+        # neither command reads a progress setting
+        ["verify-oracle", "--progress"],
+        ["check-leakage", "--progress"],
+    ])
+    def test_parser_rejects_removed_surface(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestAblations:
     def test_nflb_size_rows(self):

@@ -343,6 +343,13 @@ def _starving_worker(seconds: float):
     return CellFailure("treeling-starvation", f"after {seconds}")
 
 
+def _crashing_worker(seconds: float):
+    """Dies like an OOM-killed worker on the ``0.0`` spec."""
+    if seconds == 0.0:
+        os._exit(1)
+    return _sleep_worker(seconds)
+
+
 class TestCellTimeout:
     def test_serial_sleeping_worker_becomes_timeout_failure(self):
         before = signal.getsignal(signal.SIGALRM)
@@ -419,6 +426,25 @@ class TestCellTimeout:
         snap = m.snapshot()
         assert snap["counters"]["cells_failed"] == 1
         assert snap["counters"]["cells_finished"] == 1
+
+
+class TestWorkerCrash:
+    def test_killed_worker_becomes_uncached_crash_failure(self, tmp_path):
+        cache = ResultCache(tmp_path, payload_types=(str, CellFailure))
+        specs = [0.01, 0.0, 0.02, 0.03]
+        outs = parallel.execute_tasks(specs, _crashing_worker, _sleep_key,
+                                      jobs=2, cache=cache)
+        assert isinstance(outs[1], CellFailure)
+        assert outs[1].kind == "worker-crashed"
+        assert cache.get(_sleep_key(0.0)) is None
+        # the broken pool may take queued cells down with it, but each
+        # of them is a result or a crash, never anything else
+        for spec, out in zip(specs, outs):
+            assert (out == f"done-{spec}"
+                    or (isinstance(out, CellFailure)
+                        and out.kind == "worker-crashed"))
+        results = [out for out in outs if isinstance(out, str)]
+        assert cache.stores == len(results)
 
 
 # ---------------------------------------------------------------------------
