@@ -3,7 +3,7 @@
 Where :class:`repro.sim.registry.StatsRegistry` holds *model* counters
 (things conservation laws are written about), this module holds
 *harness* measurements: cells executed, cache hits, wall seconds, peak
-RSS, leakage verdicts.
+RSS.
 
 Design points:
 

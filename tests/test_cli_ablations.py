@@ -60,7 +60,7 @@ class TestCli:
         ["verify-oracle", "--progress"],
         ["check-leakage", "--progress"],
     ])
-    def test_parser_rejects_removed_surface(self, argv, capsys):
+    def test_parser_rejects_removed_surface(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
