@@ -15,10 +15,6 @@ class RecoveryResult:
     accuracy: float
     threshold: float
 
-    @property
-    def recovered_bits(self) -> int:
-        return len(self.guesses)
-
 
 def _midpoint_threshold(latencies: np.ndarray) -> float:
     """Threshold between the fast (shared-node hit) and slow modes.

@@ -181,11 +181,6 @@ class HotpageTracker:
             if count is not None:
                 self._push(pfn, count)
 
-    def coldest_hot(self) -> int | None:
-        if not self._hot:
-            return None
-        return min(self._hot, key=lambda p: self._table.get(p, 0))
-
     @property
     def storage_bits(self) -> int:
         """On-chip cost: PFN tag (~44b) + counter bits per entry."""

@@ -31,7 +31,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from typing import Optional, Sequence
@@ -629,8 +629,3 @@ def scale_cell(mix: str, scheme: str, sc,
                 warmup=sc.warmup, seed=sc.seed,
                 frame_policy=frame_policy or sc.frame_policy,
                 n_cores=sc.n_cores, config=config)
-
-
-def with_policy(cell: Cell, frame_policy: str) -> Cell:
-    """Variant of ``cell`` under a different frame-placement policy."""
-    return replace(cell, frame_policy=frame_policy)

@@ -63,14 +63,6 @@ class FrameAllocator:
         # stack; alloc() skips already-owned frames when popping.
         self._range_cache: dict[tuple[int, int], list[int]] = {}
 
-    @property
-    def free_frames(self) -> int:
-        return len(self._free)
-
-    @property
-    def used_frames(self) -> int:
-        return len(self._owner)
-
     def owner_of(self, pfn: int) -> Optional[int]:
         return self._owner.get(pfn)
 

@@ -71,9 +71,6 @@ class PageTable:
             raise KeyError(f"vpn {vpn} not mapped")
         return entry[0]
 
-    def is_mapped(self, vpn: int) -> bool:
-        return vpn in self._entries
-
     def set_leaf(self, vpn: int, leaf_id: Optional[int]) -> None:
         """Update the LMM field (page migration under Invert/Pro)."""
         if not self.extended:
@@ -86,10 +83,6 @@ class PageTable:
     def translate(self, vpn: int) -> Optional[int]:
         entry = self._entries.get(vpn)
         return None if entry is None else entry[0]
-
-    @property
-    def mapped_count(self) -> int:
-        return len(self._entries)
 
     # -- walk modelling -------------------------------------------------------
 

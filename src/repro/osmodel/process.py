@@ -10,7 +10,7 @@ matches the paper's multiprogrammed setup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.osmodel.allocator import FrameAllocator
 from repro.osmodel.pagetable import PageTable
@@ -52,9 +52,6 @@ class Process:
         self.live_vpns.add(vpn)
         return PageEvent(self.domain_id, vpn, pfn)
 
-    def allocate_pages(self, n: int) -> list[PageEvent]:
-        return [self.allocate_page() for _ in range(n)]
-
     def free_page(self, vpn: int) -> PageEvent:
         if vpn not in self.live_vpns:
             raise KeyError(f"vpn {vpn} not live in {self.name}")
@@ -62,9 +59,6 @@ class Process:
         self.allocator.free(pfn)
         self.live_vpns.remove(vpn)
         return PageEvent(self.domain_id, vpn, pfn)
-
-    def free_pages(self, vpns: Iterable[int]) -> list[PageEvent]:
-        return [self.free_page(v) for v in list(vpns)]
 
     def translate(self, vpn: int) -> Optional[int]:
         return self.page_table.translate(vpn)

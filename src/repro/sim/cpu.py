@@ -21,9 +21,6 @@ class CoreModel:
         self.config = config
         self._l1_lat = float(config.l1.hit_latency)
 
-    def compute_cycles(self, instructions: int) -> float:
-        return instructions * self.config.base_cpi
-
     def access_cycles(self, latency: float) -> float:
         """Core-visible cost of one memory access of ``latency`` cycles."""
         if latency <= self._l1_lat:

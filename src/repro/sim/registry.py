@@ -230,7 +230,3 @@ class StatsRegistry:
     @property
     def names(self) -> list[str]:
         return sorted(self._entries) + sorted(self._providers)
-
-    @property
-    def invariant_names(self) -> list[str]:
-        return list(self._invariants)

@@ -85,11 +85,6 @@ class EngineStats:
         total = self.nflb_hits + self.nflb_misses
         return self.nflb_hits / total if total else 0.0
 
-    @property
-    def lmm_hit_rate(self) -> float:
-        total = self.lmm_hits + self.lmm_misses
-        return self.lmm_hits / total if total else 0.0
-
 
 @dataclass
 class CoreStats:

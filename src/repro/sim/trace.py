@@ -167,9 +167,6 @@ class EventTracer:
     def events(self) -> list[dict]:
         return list(self._events)
 
-    def to_chrome(self, manifest: Optional[dict] = None) -> dict:
-        return chrome_payload({"run": self}, manifest)
-
     def write(self, path: str, manifest: Optional[dict] = None) -> str:
         return write_chrome_trace(path, {"run": self}, manifest)
 
