@@ -178,13 +178,12 @@ class Cache:
     # LLC-missing access.  ``bind_fast_probe``/``bind_fast_fill`` return
     # closures holding the set list, geometry and stat objects in cell
     # variables, so one probe is a single dict round-trip with no
-    # attribute chain and no method dispatch.  A fast fill emits no
-    # place or evict events, so it is bound only with the tracer off; a
-    # probe emits nothing and may be bound under any tracer.  Both are
-    # bit-identical to ``lookup``/``fill`` in every observable
-    # effect (LRU order, dirty bits, victims, stats).  Unknown subclasses
-    # get their own generic methods back, so semantics always come from
-    # the instance.
+    # attribute chain and no method dispatch.  They are the only hooks
+    # the engines and the drain loop bind, traced or not: a probe emits
+    # nothing, and a fill takes the tracer at bind time and emits the
+    # events ``fill`` emits, at the cost of one ``is not None`` test per
+    # emit site.  Both are bit-identical to ``lookup``/``fill`` in every
+    # observable effect (LRU order, dirty bits, victims, stats, events).
 
     def prime_candidates(self, addrs) -> None:
         """Hook for randomized caches: pre-compute hashed set candidates
@@ -192,10 +191,7 @@ class Cache:
 
     def bind_fast_probe(self):
         """Return a ``probe(addr, is_write=False) -> bool`` closure
-        equivalent to ``lookup``.  Monomorphic for exact ``Cache``
-        instances; subclasses fall back to their own ``lookup``."""
-        if type(self) is not Cache:
-            return self.lookup
+        equivalent to ``lookup``."""
         sets = self._sets
         n_sets = self.n_sets
         stats = self.stats
@@ -212,18 +208,19 @@ class Cache:
             return True
         return probe
 
-    def bind_fast_fill(self):
+    def bind_fast_fill(self, tracer):
         """Return a ``fill_absent(addr, dirty=False) -> victim | None``
         closure: ``fill`` specialised for an address the caller just
         observed to be absent (so the presence probe is skipped and no
         :class:`Eviction` is allocated).  Returns the *dirty* victim's
-        address, or None (clean evictions need no write-back).  Only
-        valid with the tracer off (no evict events are emitted)."""
-        if type(self) is not Cache:
-            return generic_fill_absent(self)
+        address, or None (clean evictions need no write-back).  With
+        ``tracer`` enabled it emits ``fill``'s ``cache.evict`` event for
+        every victim, clean ones included."""
         sets = self._sets
         n_sets = self.n_sets
         assoc = self.assoc
+        name = self.name
+        emit = tracer.instant if tracer.enabled else None
         cache = self
         def fill_absent(addr: int, dirty: bool = False):
             s = sets[addr % n_sets]
@@ -241,6 +238,9 @@ class Cache:
                 if vdirty:
                     cache.writebacks += 1
                     wb = victim
+                if emit is not None:
+                    emit("cache", "evict", cache=name, addr=victim,
+                         dirty=vdirty)
             s[addr] = [dirty, False]
             return wb
         return fill_absent
@@ -270,16 +270,3 @@ class Cache:
             s.update(keep)
         return dirty
 
-
-def generic_fill_absent(cache: Cache):
-    """``fill_absent`` built on the instance's own generic ``fill``:
-    the fallback ``bind_fast_fill`` returns for subclasses the fast
-    closures do not know, so a custom replacement policy keeps its
-    semantics while callers see the uniform victim-or-None protocol."""
-    fill = cache.fill
-    def fill_absent(addr: int, dirty: bool = False):
-        ev = fill(addr, dirty=dirty)
-        if ev is not None and ev.dirty:
-            return ev.addr
-        return None
-    return fill_absent

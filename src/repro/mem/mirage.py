@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mem.cache import Cache, Eviction, generic_fill_absent
+from repro.mem.cache import Cache, Eviction
 from repro.sim.config import CacheConfig
 
 
@@ -180,10 +180,8 @@ class MirageCache(Cache):
         return True
 
     def bind_fast_probe(self):
-        """Monomorphic probe closure over the memoized skew candidates;
-        same contract as :meth:`repro.mem.cache.Cache.bind_fast_probe`."""
-        if type(self) is not MirageCache:
-            return self.lookup
+        """Probe closure over the memoized skew candidates; same contract
+        as :meth:`repro.mem.cache.Cache.bind_fast_probe`."""
         sets = self._sets
         cand_get = self._cand.get
         candidates = self._candidates
@@ -207,16 +205,18 @@ class MirageCache(Cache):
             return True
         return probe
 
-    def bind_fast_fill(self):
+    def bind_fast_fill(self, tracer):
         """Known-absent fill closure (power-of-two-choices placement,
         skew counters, LRU victim) returning the dirty victim address or
-        None; same contract as ``Cache.bind_fast_fill``.  Only valid
-        with the tracer off (no place/evict events are emitted)."""
-        if type(self) is not MirageCache:
-            return generic_fill_absent(self)
+        None; same contract as ``Cache.bind_fast_fill``.  With ``tracer``
+        enabled it emits ``fill``'s events in ``fill``'s order: the
+        ``cache.place`` skew before the victim pick (even when a fully
+        locked set then drops the fill), then ``cache.evict``."""
         sets = self._sets
         cand_get = self._cand.get
         candidates = self._candidates
+        name = self.name
+        emit = tracer.instant if tracer.enabled else None
         cache = self
         def fill_absent(addr: int, dirty: bool = False):
             cand = cand_get(addr)
@@ -226,10 +226,14 @@ class MirageCache(Cache):
             s1 = sets[cand[1]]
             if len(s0) <= len(s1):
                 s = s0
+                skew = 0
                 cache.skew0_fills += 1
             else:
                 s = s1
+                skew = 1
                 cache.skew1_fills += 1
+            if emit is not None:
+                emit("cache", "place", cache=name, addr=addr, skew=skew)
             wb = None
             if len(s) >= cache.assoc:
                 if cache._locked:
@@ -245,6 +249,9 @@ class MirageCache(Cache):
                 if vdirty:
                     cache.writebacks += 1
                     wb = vaddr
+                if emit is not None:
+                    emit("cache", "evict", cache=name, addr=vaddr,
+                         dirty=vdirty)
             s[addr] = [dirty, False]
             return wb
         return fill_absent

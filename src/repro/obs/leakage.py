@@ -332,6 +332,22 @@ class _AliasingCounterCache:
         return self._inner.fill(self._mask(addr), dirty=dirty,
                                 locked=locked)
 
+    # The engine binds its counter hooks from these, so the fused path
+    # sees the masked index too.
+    def bind_fast_probe(self):
+        probe, mask = self._inner.bind_fast_probe(), self._mask
+
+        def masked_probe(addr: int, is_write: bool = False) -> bool:
+            return probe(mask(addr), is_write)
+        return masked_probe
+
+    def bind_fast_fill(self, tracer):
+        fill_absent, mask = self._inner.bind_fast_fill(tracer), self._mask
+
+        def masked_fill(addr: int, dirty: bool = False):
+            return fill_absent(mask(addr), dirty)
+        return masked_fill
+
     def flush(self) -> int:
         return self._inner.flush()
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.mem import spaces
-from repro.mem.cache import generic_fill_absent
 from repro.mem.memctrl import MemoryController
 from repro.mem.mirage import make_cache
 from repro.secure.bmt import TreeGeometry
@@ -32,33 +31,6 @@ from repro.sim.trace import NULL_TRACER
 #: (7-bit minors overflow after 128 writes to one block; page-level we
 #: approximate with the expected fill across blocks).
 OVERFLOW_WRITES_PER_PAGE = 1024
-
-
-def _controller_ops(mc: MemoryController, stats: EngineStats):
-    """Instrumented ``(read_data, read_meta, write_data, write_meta)``:
-    the controller's own ``read``/``write`` (DRAM trace events) plus the
-    engine's dram_* attribution -- the protocol of
-    :meth:`MemoryController.bind_engine_ops`, whose fused closures
-    replace these when tracing is off."""
-    read, write = mc.read, mc.write
-
-    def read_data(addr: int, now: float) -> float:
-        stats.dram_data_reads += 1
-        return read(addr, now)
-
-    def read_meta(addr: int, now: float) -> float:
-        stats.dram_metadata_reads += 1
-        return read(addr, now)
-
-    def write_data(addr: int, now: float) -> None:
-        stats.dram_data_writes += 1
-        write(addr, now)
-
-    def write_meta(addr: int, now: float) -> None:
-        stats.dram_metadata_writes += 1
-        write(addr, now)
-
-    return read_data, read_meta, write_data, write_meta
 
 
 def _observed_probe(probe, observer):
@@ -76,9 +48,8 @@ class SecureMemoryEngine(ABC):
 
     name = "abstract"
     tracer = NULL_TRACER
-    #: ``observer(addr, hit)`` called after every counter-cache probe,
-    #: whichever probe is bound (set by the differential oracle, which
-    #: then rebinds the hooks).
+    #: ``observer(addr, hit)`` called after every counter-cache probe
+    #: (set by the differential oracle, which then rebinds the hooks).
     counter_observer = None
 
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
@@ -134,41 +105,34 @@ class SecureMemoryEngine(ABC):
     # Every LLC-missing access funnels through ``data_access`` /
     # ``handle_writeback`` into the scheme's ``_verify`` walk, and every
     # engine path reaches the metadata caches and DRAM only through the
-    # hooks bound here.  With tracing off they are the caches'
-    # monomorphic probe/fill closures and the fused controller+DRAM
-    # closures; with a tracer they are the caches' own ``lookup``/``fill``
-    # and the controller's ``read``/``write``, which emit the cache and
-    # DRAM events.  Both bindings are bit-identical in every stat,
-    # histogram bucket, cache state and DRAM timing
-    # (tests/test_golden.py), so traced, sampled and fault-injected runs
-    # execute the body the figures come from, and sampled runs bind the
-    # fused hooks themselves.  Only instrumentation that needs walk-local
-    # values (counter, tree-node, LMM and MAC events, the engine span)
-    # stays in the bodies, behind one ``_instrumented`` read per call.  A
-    # ``counter_observer`` wraps the counter probe of either binding, so
-    # the oracle sees every probed counter address on the fused path.
+    # hooks bound here: the caches' probe/fill closures and the fused
+    # controller+DRAM closures.  There is one binding whatever tracer is
+    # installed.  The fills and the DRAM's open-row body take the tracer
+    # at bind time and emit the cache and DRAM events themselves, so
+    # traced, sampled and fault-injected runs and the leakage contracts
+    # execute the hooks the figures come from.  Only instrumentation
+    # that needs walk-local values (counter, tree-node, LMM and MAC
+    # events, the engine span) stays in the bodies, behind one
+    # ``_instrumented`` read per call.  A ``counter_observer`` wraps the
+    # counter probe, so the oracle sees every probed counter address.
 
     def _bind_hooks(self) -> None:
         """(Re)bind the metadata hooks for the installed tracer and
         counter observer.  The hooks close over the controller, the
-        stats, the caches and the observer, never over the engine."""
+        stats, the caches, the tracer and the observer, never over the
+        engine."""
         caches = (self.mac_cache, self.counter_cache, self.tree_cache)
-        self._instrumented = self.tracer.enabled
-        if self._instrumented:
-            ops = _controller_ops(self.mc, self.stats)
-            probes = [cache.lookup for cache in caches]
-            fills = [generic_fill_absent(cache) for cache in caches]
-        else:
-            ops = self.mc.bind_engine_ops(self.stats)
-            probes = [cache.bind_fast_probe() for cache in caches]
-            fills = [cache.bind_fast_fill() for cache in caches]
+        tracer = self.tracer
+        self._instrumented = tracer.enabled
         (self._read_data, self._read_meta, self._write_data,
-         self._write_meta) = ops
-        self._mac_probe, ctr_probe, self._tree_probe = probes
+         self._write_meta) = self.mc.bind_engine_ops(self.stats)
+        self._mac_probe, ctr_probe, self._tree_probe = [
+            cache.bind_fast_probe() for cache in caches]
         if self.counter_observer is not None:
             ctr_probe = _observed_probe(ctr_probe, self.counter_observer)
         self._ctr_probe = ctr_probe
-        self._mac_fill, self._ctr_fill, self._tree_fill = fills
+        self._mac_fill, self._ctr_fill, self._tree_fill = [
+            cache.bind_fast_fill(tracer) for cache in caches]
 
     # -- statistics registration ---------------------------------------------------
 

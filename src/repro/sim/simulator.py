@@ -22,9 +22,10 @@ back into the engine as write-backs (counter bump + MAC + posted write).
 Churn frees, page faults and TLB walks run inline in the generator
 through their own helpers (``_churn``, ``_alloc_page``, ``_page_walk``),
 which the sampling profiler (:mod:`repro.sim.profiler`) names as
-layers, and a tracer changes only what is emitted: the caches' own
-``fill`` and ``TLB.lookup`` report their events, and the generator adds
-the request, fault, walk and churn spans.
+layers, and a tracer changes only what is emitted: the L1/L2/LLC fill
+closures are bound with it and report their place and evict events,
+``TLB.lookup`` reports its miss, and the generator adds the request,
+fault, walk and churn spans.
 
 Determinism rules, pinned by the golden digests (tests/test_golden.py):
 clock updates use the same operands in the same order on every path;
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mem import spaces
-from repro.mem.cache import generic_fill_absent
 from repro.mem.hierarchy import CacheHierarchy
 from repro.osmodel.allocator import FrameAllocator
 from repro.osmodel.pagetable import PageTable
@@ -277,23 +277,18 @@ class Simulator:
         l2_sets = l2._sets
         l1_nsets = l1.n_sets
         l2_nsets = l2.n_sets
-        # Monomorphic probe/fill closures (bit-identical to the generic
+        # Pre-bound probe/fill closures (bit-identical to the generic
         # methods; see mem/cache.py).  ``fill_absent`` only follows a
-        # probe that just missed; dirty-victim re-inserts keep the
-        # generic ``fill`` because the victim may already be present
-        # downstream.  Under a tracer each cache's own ``fill`` runs, so
-        # it emits its place and evict events.
+        # probe that just missed, and emits the place and evict events
+        # of the tracer it is bound with; dirty-victim re-inserts keep
+        # the generic ``fill`` because the victim may already be
+        # present downstream.
         llc_lookup = llc.bind_fast_probe()
         llc_fill = llc.fill
         l2_fill = l2.fill
-        if tracing:
-            l1_fill_absent = generic_fill_absent(l1)
-            l2_fill_absent = generic_fill_absent(l2)
-            llc_fill_absent = generic_fill_absent(llc)
-        else:
-            l1_fill_absent = l1.bind_fast_fill()
-            l2_fill_absent = l2.bind_fast_fill()
-            llc_fill_absent = llc.bind_fast_fill()
+        l1_fill_absent = l1.bind_fast_fill(tr)
+        l2_fill_absent = l2.bind_fast_fill(tr)
+        llc_fill_absent = llc.bind_fast_fill(tr)
         engine_access = self.engine.data_access
         handle_wb = self._handle_writebacks
         churn = self._churn

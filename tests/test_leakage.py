@@ -93,6 +93,23 @@ class TestMutationSelfProof:
         else:
             assert res.divergent_domains
 
+    def test_aliasing_wrapper_binds_masked_hooks(self):
+        """The ``aliased-counters`` wrapper hands the engine masked
+        closures, so the mutation reaches the one hook binding: a
+        counter line filled for PFN 1 answers a probe for PFN 9."""
+        from repro.mem import spaces
+        from repro.mem.cache import Cache
+        from repro.obs.leakage import _AliasingCounterCache, leakage_config
+        from repro.sim.trace import NULL_TRACER
+
+        cache = _AliasingCounterCache(
+            Cache(leakage_config().secure.counter_cache, "ctr$"))
+        probe = cache.bind_fast_probe()
+        fill_absent = cache.bind_fast_fill(NULL_TRACER)
+        assert not probe(spaces.tag(spaces.COUNTER, 1))
+        assert fill_absent(spaces.tag(spaces.COUNTER, 1)) is None
+        assert probe(spaces.tag(spaces.COUNTER, 9))
+
     def test_mutation_specs_cover_exact_schemes_only(self):
         specs = mutation_pair_specs(DEFAULT_SCHEMES, rounds=8)
         assert {s.scheme for s in specs} == set(EXACT_SCHEMES)
