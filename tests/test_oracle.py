@@ -197,9 +197,9 @@ class TestFusedReplay:
 
     @pytest.mark.parametrize("scheme", DEFAULT_SCHEMES)
     def test_replay_runs_the_fused_hooks(self, scheme, monkeypatch):
-        """No tracer is installed, and neither the controller's
-        instrumented ``read``/``write`` nor a metadata cache's own
-        ``lookup`` is ever called."""
+        """No tracer is installed, and neither the controller's own
+        ``read``/``write`` nor a metadata cache's own ``lookup`` is ever
+        called."""
         from repro.mem.cache import Cache
         from repro.mem.memctrl import MemoryController
         from repro.mem.mirage import MirageCache
