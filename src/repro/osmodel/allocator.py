@@ -2,22 +2,44 @@
 
 The TEE threat model makes the OS untrusted, so secure hardware cannot
 assume a domain's frames are contiguous or confined to a region -- the
-motivating problem for static tree partitioning (Section V).  The default
-``random`` policy models a fragmented, adversarial-ish OS; ``sequential``
-models a freshly-booted first-touch allocator (used by some tests and by
-the static-partitioning comparator, which *requires* region-confined
-allocation to work at all).
+motivating problem for static tree partitioning (Section V).  Three
+placement policies:
+
+- ``sequential`` models a freshly booted first-touch allocator: frames
+  come out in address order.  It is ``Simulator``'s default.
+- ``fragmented`` models a long-running machine: contiguous 256-frame
+  (1 MB) runs in scattered order, with freed frames re-entering the free
+  stack at random depths.  It is the sweeps' default
+  (``Scale.frame_policy``).
+- ``random`` models an adversarial OS: one uniformly random permutation
+  of all frames (the differential oracle's default).
+
+The static-partitioning comparator confines each domain to its
+partition's chunk through :meth:`FrameAllocator.alloc_in_range` under
+any of them.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
 
+#: Frames per buddy run of the ``fragmented`` policy (1 MB of 4 KB pages).
+FRAGMENT_RUN = 256
+
 
 class OutOfMemoryError(RuntimeError):
     """No free physical frame is available."""
+
+
+def _stack(frames: np.ndarray) -> array:
+    """An ``array("i")`` stack holding ``frames`` in order, written
+    through a view of its buffer that is gone on return."""
+    stack = array("i", [0]) * len(frames)
+    np.frombuffer(stack, dtype=np.int32)[:] = frames
+    return stack
 
 
 class FrameAllocator:
@@ -29,39 +51,47 @@ class FrameAllocator:
                  seed: int = 7) -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy: {policy}")
+        if n_frames >= 2 ** 31:
+            # Frame numbers are stored as 32-bit ints.
+            raise ValueError(f"{n_frames} frames do not fit in int32 PFNs")
         self.n_frames = n_frames
         self.policy = policy
         self._rng = np.random.default_rng(seed)
+        # The free stack: one 4-byte int per frame in a typed array,
+        # popped from the end.  pop/append/insert/len behave as on a
+        # list of the same ints, but a sweep cell's 1 Mi-frame stack
+        # keeps 4 MiB, where a list would hold 40 MiB of int objects.
+        # It is written in allocation order through a reversed int32
+        # NumPy view of its own buffer; the view is dropped before the
+        # stack is resized, which a buffer export forbids.
+        self._free = array("i", [0]) * n_frames
+        top_down = np.frombuffer(self._free, dtype=np.int32)[::-1]
         if policy == "random":
-            order = self._rng.permutation(n_frames)
+            top_down[:] = self._rng.permutation(n_frames)
+        elif policy == "sequential":
+            # Fresh-boot buddy allocator, fully contiguous.
+            top_down[:] = np.arange(n_frames, dtype=np.int32)
         else:
-            # ``sequential``: fresh-boot buddy allocator, fully contiguous.
-            # ``fragmented``: the steady state of a long-running machine --
-            # the buddy allocator still hands out contiguous runs
-            # (256 frames / 1MB here) but the runs themselves are
-            # scattered, and freed frames re-enter the free list at
-            # random positions.
-            # A static page-to-tree mapping loses most of its spatial
-            # adjacency in this regime; IvLeague's fault-order slot
-            # packing is unaffected by it.
-            order = np.arange(n_frames)
-            if policy == "fragmented":
-                run = 256
-                n_runs = n_frames // run
-                perm = self._rng.permutation(n_runs)
-                order = (perm[:, None] * run
-                         + np.arange(run)[None, :]).reshape(-1)
-                tail = np.arange(n_runs * run, n_frames)
-                order = np.concatenate([order, tail])
-        # Free list as a stack (list for O(1) pop/push); ndarray.tolist()
-        # yields the same Python ints as map(int, ...) at a fraction of
-        # the cost (this init is charged to every experiment cell).
-        self._free = order[::-1].tolist()
+            # The buddy allocator of a long-running machine still hands
+            # out contiguous runs, but the runs themselves are scattered,
+            # and freed frames re-enter the stack at random positions
+            # (see free()).  A static page-to-tree mapping loses most of
+            # its spatial adjacency in this regime; IvLeague's
+            # fault-order slot packing is unaffected by it.
+            n_runs = n_frames // FRAGMENT_RUN
+            body = n_runs * FRAGMENT_RUN
+            starts = self._rng.permutation(n_runs).astype(np.int32)
+            starts *= FRAGMENT_RUN
+            np.add(starts[:, None],
+                   np.arange(FRAGMENT_RUN, dtype=np.int32)[None, :],
+                   out=top_down[:body].reshape(n_runs, FRAGMENT_RUN))
+            top_down[body:] = np.arange(body, n_frames, dtype=np.int32)
+        del top_down
         self._owner: dict[int, int] = {}
         # Lazily-built per-range stacks for alloc_in_range (static
         # partitioning).  Frames handed out there stay on the main
         # stack; alloc() skips already-owned frames when popping.
-        self._range_cache: dict[tuple[int, int], list[int]] = {}
+        self._range_cache: dict[tuple[int, int], array] = {}
 
     def owner_of(self, pfn: int) -> Optional[int]:
         return self._owner.get(pfn)
@@ -75,18 +105,27 @@ class FrameAllocator:
                 return pfn
         raise OutOfMemoryError("physical memory exhausted")
 
+    def _in_range(self, lo: int, hi: int) -> np.ndarray:
+        """The free stack's frames in [lo, hi), bottom first.
+
+        A copy: the buffer view it is read through is gone on return.
+        """
+        free = np.frombuffer(self._free, dtype=np.int32)
+        return free[(free >= lo) & (free < hi)]
+
     def alloc_in_range(self, owner: int, lo: int, hi: int) -> int:
         """Allocate a frame in [lo, hi) -- used by static partitioning
         (the OS must confine each domain to its partition's chunk).
 
         Amortised O(1): the first call for a range snapshots the free
         frames inside it; later calls pop from that stack, skipping
-        frames that were meanwhile taken or freed elsewhere.
+        frames that were meanwhile taken or freed elsewhere.  A range
+        stack pops in the main stack's bottom-to-top order.
         """
         key = (lo, hi)
         stack = self._range_cache.get(key)
         if stack is None:
-            stack = [f for f in self._free if lo <= f < hi][::-1]
+            stack = _stack(self._in_range(lo, hi)[::-1])
             self._range_cache[key] = stack
         while stack:
             pfn = stack.pop()
@@ -95,10 +134,12 @@ class FrameAllocator:
                 return pfn
         # Slow path: pick up frames freed back into the range after the
         # snapshot was taken.
-        refill = [f for f in self._free
-                  if lo <= f < hi and f not in self._owner]
-        if refill:
-            self._range_cache[key] = refill[::-1]
+        refill = self._in_range(lo, hi)
+        owned = np.fromiter(self._owner, dtype=np.int32,
+                            count=len(self._owner))
+        refill = refill[~np.isin(refill, owned)]
+        if refill.size:
+            self._range_cache[key] = _stack(refill[::-1])
             return self.alloc_in_range(owner, lo, hi)
         raise OutOfMemoryError(f"no free frame in [{lo}, {hi})")
 

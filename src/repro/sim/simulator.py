@@ -90,8 +90,10 @@ class Simulator:
         # ``sequential`` models a freshly booted buddy allocator (what the
         # paper's full-system runs see): first-touch faults land in mostly
         # contiguous frames, so the static baseline mapping gets its
-        # natural leaf-node sharing.  ``random`` models a fragmented
-        # machine -- an ablation where IvLeague's dynamic mapping is
+        # natural leaf-node sharing.  ``fragmented`` models a
+        # long-running machine: scattered 256-frame runs with random
+        # recycling, the sweeps' default.  ``random`` scatters every
+        # frame -- an ablation where IvLeague's dynamic mapping is
         # immune but the static baseline degrades.
         self.config = config
         self.engine = engine

@@ -231,61 +231,98 @@ class TestProvenance:
 
 
 class TestOverheadGuard:
-    """Acceptance criterion: the NullTracer path must cost <5% of the
-    smoke-workload wall time.
+    """Acceptance criterion: with tracing off, telemetry must cost <5% of
+    the smoke workload's wall time.
 
-    Measured compositionally (robust on shared CI boxes): count how many
-    guard sites a traced run actually passes through, microbenchmark one
-    ``tracer.enabled`` check, and compare the product against the
-    measured run time with a generous margin.
+    Measured compositionally (robust on shared CI boxes): count exactly
+    what the untraced run executes for telemetry, microbenchmark the
+    price of each kind of operation, and compare the product against
+    the measured run time with a margin.
     """
 
-    def test_null_tracer_overhead_under_5_percent(self, tiny):
+    def test_null_tracer_overhead_under_5_percent(self, tiny, monkeypatch):
+        """The untraced run's null-guard reads and flag tests cost under
+        5% of its wall time.
+
+        Two costs are counted exactly in one untraced run and each is
+        priced by its own microbenchmark:
+
+        - every read of ``NullTracer.enabled``, counted by a property as
+          in the test below and priced as ``t.enabled and None``;
+        - every truth test of the value those reads return, counted by
+          the value's ``__bool__`` and priced as ``if tracing: pass`` on
+          a local ``False``.  These are the drain loop's tests of its
+          cached ``tracing`` flag (two per access, one per page fault
+          and two per page walk), the engine's tests of its cached
+          ``_instrumented`` flag and each guard's own branch, which the
+          read's price already includes, so it is charged twice.
+
+        Derivation, over 25 isolated runs on a 2-vCPU VM: this
+        2 x 2,000-access run makes 5,627 reads and 32,780 tests, 9,861 of
+        them in the drain loop (2 x 4,000 accesses + 315 faults + 2 x 773
+        walks).  A read prices at 24-62 ns and a test at 4.9-7.3 ns, and
+        the run takes 0.11-0.20 s, so the count comes to 0.2-0.4% of the
+        run.  The read's price varies 2.6x between runs, which the 3x
+        margin covers; with it the estimate is 0.65-1.10%, at least 4.5x
+        inside the 5% budget.
+        """
         wl = _wl(2000)
-        # how many events would an instrumented run emit?
-        counter = EventTracer(limit=1)
-        Simulator(tiny, BaselineEngine(tiny), tracer=counter).run(wl)
-        n_sites = counter.emitted
-        # wall time of the same run with tracing off (best of 2)
+        counts = {"reads": 0, "tests": 0}
+
+        class _Off:
+            """What ``enabled`` reads as: false, counting its tests."""
+
+            def __bool__(self):
+                counts["tests"] += 1
+                return False
+
+        off = _Off()
+
+        def _counting(self):
+            counts["reads"] += 1
+            return off
+
+        with monkeypatch.context() as mp:
+            mp.setattr(NullTracer, "enabled", property(_counting))
+            Simulator(tiny, BaselineEngine(tiny)).run(wl)
+        n_reads, n_tests = counts["reads"], counts["tests"]
+        assert n_reads > 0 and n_tests > n_reads
+        # wall time of the same run with plain (restored) nulls, best of 2
         run_time = float("inf")
         for _ in range(2):
             sim = Simulator(tiny, BaselineEngine(tiny))
             t0 = time.perf_counter()
             sim.run(wl)
             run_time = min(run_time, time.perf_counter() - t0)
-        # cost of one disabled-guard check (attribute load + branch),
-        # with the timeit loop's own overhead subtracted out
-        t = NULL_TRACER
-        n_checks = 100_000
-        loop = min(timeit.repeat("pass", number=n_checks, repeat=5))
-        check = min(timeit.repeat("t.enabled and None", globals={"t": t},
-                                  number=n_checks, repeat=5))
-        per_check = max(check - loop, 0.0) / n_checks
-        # 3x margin on the guard cost, plus 2 guards per emitted event
-        # (several sites check twice on branchy paths)
-        overhead = n_sites * 2 * per_check * 3
-        # Budget 10% of wall time: the simulator's per-access cost
-        # fell by about half after the 5% budget was set, so the same
-        # absolute guard cost became twice the fraction it was; with
-        # the estimator's built-in 3x safety factor the old 5% budget
-        # sat inside the estimator's own error bars and flaked on fast
-        # runs.
-        assert overhead < 0.10 * run_time, (
-            f"estimated NullTracer overhead {overhead:.4f}s vs "
-            f"run {run_time:.4f}s ({100 * overhead / run_time:.1f}%)")
+        # each operation's price, with the timeit loop's own overhead
+        # subtracted out; tests are timed ten to a loop pass, or the
+        # loop's jitter can swallow a test's few nanoseconds
+        n_bench = 100_000
+        loop = min(timeit.repeat("pass", number=n_bench, repeat=5))
+        read = min(timeit.repeat("t.enabled and None",
+                                 globals={"t": NULL_TRACER},
+                                 number=n_bench, repeat=5))
+        test = min(timeit.repeat("if tracing: pass\n" * 10,
+                                 setup="tracing = False",
+                                 number=n_bench, repeat=5))
+        per_read = max(read - loop, 0.0) / n_bench
+        per_test = max(test - loop, 0.0) / (10 * n_bench)
+        overhead = (n_reads * per_read + n_tests * per_test) * 3
+        assert overhead < 0.05 * run_time, (
+            f"estimated NullTracer overhead {overhead:.4f}s "
+            f"({n_reads} guard reads, {n_tests} flag tests) vs run "
+            f"{run_time:.4f}s ({100 * overhead / run_time:.1f}%)")
 
     def test_batched_core_disabled_telemetry_under_5_percent(
             self, tiny, monkeypatch):
         """The simulator with tracer and metrics off must stay under a 5%
         telemetry budget.
 
-        Tighter than the bound above because the drain loop reads
-        ``enabled`` once per drain, not per event; the remaining guard
-        checks sit on engine, fault and walk paths.  The drain loop's
-        tests of its cached ``tracing`` flag read no ``enabled`` and are
-        not counted here; they come to about two per access, and every
-        access emits at least one event, so the bound above (two guards
-        per emitted event) charges them.  The count is exact:
+        The drain loop reads ``enabled`` once per drain, not per event;
+        the remaining guard checks sit on engine, fault and walk paths.
+        The drain loop's tests of its cached ``tracing`` flag read no
+        ``enabled`` and are not counted here; the test above counts and
+        charges them.  The count is exact:
         ``enabled`` on the null tracer becomes a counting property for
         one run, then the product with a microbenchmarked guard cost is
         compared against an uninstrumented run's wall time.  The cache
