@@ -22,7 +22,6 @@ class IvLeagueInvertEngine(IvLeagueBasicEngine):
     """IvLeague with intermediate-node page mapping."""
 
     name = "ivleague-invert"
-    uses_inverted_allocation = True
 
     # -- NFL ordering: all nodes, top-down ------------------------------------------
 

@@ -25,10 +25,6 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
     """IvLeague with leaf-only page mapping (no Invert/Pro)."""
 
     name = "ivleague-basic"
-    #: Extra tree levels the paper charges to IvLeague for the global
-    #: expansion (6 -> 7 levels): modelled as one extra serialized hash
-    #: on every tree fill that reaches the TreeLing root.
-    uses_inverted_allocation = False
 
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
         iv = config.ivleague

@@ -178,7 +178,3 @@ def main(scale="quick", mixes=None):
     print(format_table(frame_environment(scale, mixes)))
     print_header("Ablation: live static-partitioning comparator")
     print(format_table(static_partition_comparison(scale, mixes)))
-
-
-if __name__ == "__main__":
-    main("full")

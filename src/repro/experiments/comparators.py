@@ -65,7 +65,3 @@ def main(scale="quick", mixes=None) -> list[dict]:
                  f"(scale={get_scale(scale).name})")
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main("full")

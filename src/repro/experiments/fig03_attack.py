@@ -55,7 +55,3 @@ def main(n_bits: int = 256, seed: int = 42) -> list[dict]:
     rows = compute(n_bits=n_bits, seed=seed)
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -45,7 +45,3 @@ def main(scale="quick", mixes=None, frame_policy=None) -> list[dict]:
                  f"(scale={sc.name}, frames={env})")
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main("full")

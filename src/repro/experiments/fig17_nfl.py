@@ -69,7 +69,3 @@ def main(scale="quick", mixes=None, frame_policy=None):
     print_header("Fig. 17b -- TreeLing utilization and untracked slots")
     print(format_table(util, floatfmt=".6f"))
     return perf, util
-
-
-if __name__ == "__main__":
-    main("full")

@@ -36,7 +36,3 @@ def main(scale="quick", mixes=None, frame_policy=None) -> list[dict]:
                  f"(scale={get_scale(scale).name})")
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main("full")

@@ -108,7 +108,3 @@ def main(scale="quick", mixes=None):
     print_header("Fig. 20b -- IV metadata cache size sensitivity")
     print(format_table(b))
     return a, b
-
-
-if __name__ == "__main__":
-    main("full")

@@ -38,7 +38,3 @@ def main(n_domains: int = 4096, trials: int = 16) -> list[dict]:
                  f"({n_domains} domains)")
     print(format_table(rows, floatfmt=".0f"))
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -53,7 +53,3 @@ def main(trials: int = 100) -> list[dict]:
     ivmin = min(r["ivleague"] for r in rows)
     print(f"\nIvLeague minimum success rate across the grid: {ivmin:.2f}")
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -52,7 +52,3 @@ def main() -> list[dict]:
     print_header("Table I -- Architecture configurations")
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,3 @@ def main() -> list[dict]:
     print_header("Table II -- Multiprogrammed workloads (scaled footprints)")
     print(format_table(rows))
     return rows
-
-
-if __name__ == "__main__":
-    main()

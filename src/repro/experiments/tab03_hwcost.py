@@ -26,7 +26,3 @@ def main(config=None) -> list[dict]:
     print(f"off-chip NFL metadata: "
           f"{offchip_overhead_fraction(cfg) * 100:.3f}% of system memory")
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -44,7 +44,7 @@ class CacheHierarchy:
 
     def set_tracer(self, tracer) -> None:
         for cache in (*self.l1, *self.l2, self.llc):
-            cache.tracer = tracer
+            cache.set_tracer(tracer)
 
     def access(self, core: int, addr: int, is_write: bool) -> HierarchyResult:
         """Look up ``addr``; fill on miss; report LLC miss + writebacks."""
@@ -54,24 +54,24 @@ class CacheHierarchy:
             return HierarchyResult(cfg.core.l1.hit_latency, False)
         writebacks: list[int] = []
         if l2.lookup(addr, is_write):
-            ev = l1.fill(addr, dirty=is_write)
-            if ev is not None and ev.dirty:
-                l2.fill(ev.addr, dirty=True)
+            wb = l1.fill(addr, dirty=is_write)
+            if wb is not None:
+                l2.fill(wb, dirty=True)
             return HierarchyResult(cfg.core.l2.hit_latency, False)
         llc_hit = self.llc.lookup(addr, is_write)
         # Fill the private levels regardless of where the block came from.
-        ev2 = l2.fill(addr)
-        if ev2 is not None and ev2.dirty:
-            ev_llc = self.llc.fill(ev2.addr, dirty=True)
-            if ev_llc is not None and ev_llc.dirty:
-                writebacks.append(ev_llc.addr)
-        ev1 = l1.fill(addr, dirty=is_write)
-        if ev1 is not None and ev1.dirty:
-            l2.fill(ev1.addr, dirty=True)
+        wb = l2.fill(addr)
+        if wb is not None:
+            wb = self.llc.fill(wb, dirty=True)
+            if wb is not None:
+                writebacks.append(wb)
+        wb = l1.fill(addr, dirty=is_write)
+        if wb is not None:
+            l2.fill(wb, dirty=True)
         if llc_hit:
             return HierarchyResult(cfg.llc.hit_latency,
                                    False, tuple(writebacks))
-        ev_llc = self.llc.fill(addr)
-        if ev_llc is not None and ev_llc.dirty:
-            writebacks.append(ev_llc.addr)
+        wb = self.llc.fill(addr)
+        if wb is not None:
+            writebacks.append(wb)
         return HierarchyResult(cfg.llc.hit_latency, True, tuple(writebacks))

@@ -306,8 +306,9 @@ class _AliasingCounterCache:
     """Mutation ``aliased-counters``: the counter-cache index keeps only
     the space tag and the low 3 address bits, so counter lines of
     different domains alias (pages whose PFNs agree mod 8 share a
-    line).  Wraps the real cache so fills/lookups/flushes behave
-    normally on the masked address."""
+    line).  Wraps the real cache: the engine binds its counter hooks
+    from the masked binders below, and everything else (``set_tracer``,
+    ``flush``, stats) goes to the inner cache."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -316,24 +317,6 @@ class _AliasingCounterCache:
     def _mask(addr: int) -> int:
         return (addr >> SPACE_SHIFT << SPACE_SHIFT) | (addr % 8)
 
-    # set_tracer assigns this through the engine fan-out.
-    @property
-    def tracer(self):
-        return self._inner.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._inner.tracer = value
-
-    def lookup(self, addr: int, is_write: bool = False):
-        return self._inner.lookup(self._mask(addr), is_write=is_write)
-
-    def fill(self, addr: int, dirty: bool = False, locked: bool = False):
-        return self._inner.fill(self._mask(addr), dirty=dirty,
-                                locked=locked)
-
-    # The engine binds its counter hooks from these, so the fused path
-    # sees the masked index too.
     def bind_fast_probe(self):
         probe, mask = self._inner.bind_fast_probe(), self._mask
 
@@ -347,9 +330,6 @@ class _AliasingCounterCache:
         def masked_fill(addr: int, dirty: bool = False):
             return fill_absent(mask(addr), dirty)
         return masked_fill
-
-    def flush(self) -> int:
-        return self._inner.flush()
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

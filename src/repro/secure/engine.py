@@ -209,7 +209,7 @@ class SecureMemoryEngine(ABC):
         self.tracer = tracer
         self.mc.set_tracer(tracer)
         for cache in (self.counter_cache, self.mac_cache, self.tree_cache):
-            cache.tracer = tracer
+            cache.set_tracer(tracer)
         self._bind_hooks()
 
     @staticmethod

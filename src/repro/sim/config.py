@@ -75,8 +75,6 @@ class DRAMConfig:
     t_rp: int = 30           # precharge latency
     t_burst: int = 4         # data burst occupancy per 64B block
     ctrl_latency: int = 20   # fixed controller/queue pipeline latency
-    read_queue: int = 64
-    write_queue: int = 64
 
     @property
     def n_banks(self) -> int:
@@ -142,9 +140,6 @@ class IvLeagueConfig:
     lmm_entries: int = 8192
     lmm_assoc: int = 16
     lmm_hit_latency: int = 2
-    #: Extra global tree levels charged to IvLeague (the paper's global tree
-    #: grows from 6 to 7 levels under IvLeague).
-    extra_global_levels: int = 1
     #: Maximum number of concurrently live IV domains (2**12).
     max_domains: int = 4096
     # --- IvLeague-Pro -----------------------------------------------------
@@ -184,7 +179,6 @@ class MachineConfig:
     #: TLB entries (data); misses charge a page-table walk.
     tlb_entries: int = 1536
     tlb_assoc: int = 4
-    page_walk_levels: int = 4
 
     @property
     def memory_pages(self) -> int:

@@ -313,10 +313,10 @@ class DifferentialOracle:
                 and self._alloc_no % 3 == 1):
             # pre-fill the counter cache: the page's first access will
             # *hit* on a line nothing ever fetched
-            ev = self.engine.counter_cache.fill(
+            wb = self.engine.counter_cache.fill(
                 spaces.tag(spaces.COUNTER, pfn))
-            if ev is not None and ev.dirty:
-                self.engine._write_meta(ev.addr, self.now)
+            if wb is not None:
+                self.engine._write_meta(wb, self.now)
         return pfn
 
     def _free_page(self, domain: int, vpage: int) -> None:

@@ -163,7 +163,7 @@ class Simulator:
         # Every dirty LLC eviction must reach the engine exactly once.
         reg.add_equality(
             "llc-writeback-conservation",
-            "llc.writebacks", lambda: self.hierarchy.llc.writebacks,
+            "llc.writebacks", lambda: self.hierarchy.llc.stats.writebacks,
             "engine.writebacks_absorbed",
             lambda: self.engine.stats.writebacks_absorbed)
         # LLC data misses are what the engine serves as data accesses.
@@ -279,12 +279,12 @@ class Simulator:
         l2_sets = l2._sets
         l1_nsets = l1.n_sets
         l2_nsets = l2.n_sets
-        # Pre-bound probe/fill closures (bit-identical to the generic
-        # methods; see mem/cache.py).  ``fill_absent`` only follows a
+        # Pre-bound probe/fill closures (the caches' one probe and fill
+        # bodies; see mem/cache.py).  ``fill_absent`` only follows a
         # probe that just missed, and emits the place and evict events
-        # of the tracer it is bound with; dirty-victim re-inserts keep
-        # the generic ``fill`` because the victim may already be
-        # present downstream.
+        # of the tracer it is bound with; dirty-victim re-inserts use
+        # ``fill``, which checks presence first, because the victim may
+        # already be present downstream.
         llc_lookup = llc.bind_fast_probe()
         llc_fill = llc.fill
         l2_fill = l2.fill
@@ -399,11 +399,10 @@ class Simulator:
             is_write = writes[i]
             addr = pfn * BLOCKS_PER_PAGE + blocks[i]  # DATA tag is 0
             s1 = l1_sets[addr % l1_nsets]
-            e1 = s1.get(addr)
-            if e1 is not None:                          # L1 hit
+            if addr in s1:                              # L1 hit
                 s1.move_to_end(addr)
                 if is_write:
-                    e1[0] = True
+                    s1[addr] = True
                 n_l1h += 1
                 if tracing:
                     tr.complete("request", "l1_hit", ts=clock, dur=l1f,
@@ -412,11 +411,10 @@ class Simulator:
                 clock += l1_cost
             else:
                 s2 = l2_sets[addr % l2_nsets]
-                e2 = s2.get(addr)
-                if e2 is not None:                      # L2 hit
+                if addr in s2:                          # L2 hit
                     s2.move_to_end(addr)
                     if is_write:
-                        e2[0] = True
+                        s2[addr] = True
                     n_l2h += 1
                     wb1 = l1_fill_absent(addr, is_write)
                     if wb1 is not None:
@@ -431,9 +429,9 @@ class Simulator:
                     writebacks = None
                     wb2 = l2_fill_absent(addr)
                     if wb2 is not None:
-                        ev_llc = llc_fill(wb2, dirty=True)
-                        if ev_llc is not None and ev_llc.dirty:
-                            writebacks = [ev_llc.addr]
+                        wbllc = llc_fill(wb2, dirty=True)
+                        if wbllc is not None:
+                            writebacks = [wbllc]
                     wb1 = l1_fill_absent(addr, is_write)
                     if wb1 is not None:
                         l2_fill(wb1, dirty=True)

@@ -22,9 +22,14 @@ class Counter:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
+
+@dataclass
+class CacheStats(Counter):
+    """A cache's probe outcomes plus its victims: every eviction, and
+    the dirty ones that need a write-back."""
+
+    evictions: int = 0
+    writebacks: int = 0
 
 
 @dataclass

@@ -53,27 +53,32 @@ class TestEviction:
     def test_lru_eviction_order(self):
         c = make(size=4 * 64, assoc=4)  # one set
         for a in range(4):
-            c.fill(a * c.n_sets)  # all map to set 0
+            c.fill(a * c.n_sets, dirty=True)  # all map to set 0
         c.lookup(0)  # make address 0 MRU
-        ev = c.fill(4 * c.n_sets)
-        assert ev is not None
-        assert ev.addr == 1 * c.n_sets  # LRU victim, not the touched 0
+        assert c.fill(4 * c.n_sets) == 1 * c.n_sets  # LRU, not the touched 0
+        assert c.contains(0)
 
     def test_dirty_eviction_reported(self):
         c = make(size=2 * 64, assoc=2)
         c.fill(0, dirty=True)
         c.fill(c.n_sets)
-        ev = c.fill(2 * c.n_sets)
-        assert ev is not None and ev.dirty
-        assert c.writebacks == 1
+        assert c.fill(2 * c.n_sets) == 0
+        assert c.stats.writebacks == 1
+
+    def test_clean_eviction_counted_not_reported(self):
+        c = make(size=2 * 64, assoc=2)
+        c.fill(0)
+        c.fill(c.n_sets)
+        assert c.fill(2 * c.n_sets) is None
+        assert not c.contains(0)
+        assert (c.stats.evictions, c.stats.writebacks) == (1, 0)
 
     def test_write_lookup_sets_dirty(self):
         c = make(size=2 * 64, assoc=2)
         c.fill(0)
         c.lookup(0, is_write=True)
         c.fill(c.n_sets)
-        ev = c.fill(2 * c.n_sets)
-        assert ev.dirty
+        assert c.fill(2 * c.n_sets) == 0
 
     def test_refill_merges_dirty_bit(self):
         c = make()
@@ -83,77 +88,15 @@ class TestEviction:
         c2.fill(0, dirty=True)
         c2.fill(0)  # re-fill clean must not clear dirty
         c2.fill(c2.n_sets)
-        ev = c2.fill(2 * c2.n_sets)
-        assert ev.dirty
+        assert c2.fill(2 * c2.n_sets) == 0
 
-
-class TestLocking:
-    def test_locked_block_never_evicted(self):
-        c = make(size=2 * 64, assoc=2)
-        c.lock(0)
-        for a in range(1, 10):
-            c.fill(a * c.n_sets)
-        assert c.contains(0)
-
-    def test_fully_locked_set_drops_fill(self):
-        c = make(size=2 * 64, assoc=2)
-        c.lock(0)
-        c.lock(c.n_sets)
-        assert c.fill(2 * c.n_sets) is None
-        assert not c.contains(2 * c.n_sets)
-
-    def test_flush_keeps_locked(self):
+    def test_flush_empties_and_counts_dirty(self):
         c = make()
-        c.lock(1)
+        c.fill(1)
         c.fill(2, dirty=True)
-        dirty = c.flush()
-        assert dirty == 1
-        assert c.contains(1)
-        assert not c.contains(2)
-
-    def test_flush_retains_locked_dirty_block(self):
-        """A locked-dirty block survives the flush with its dirty bit and
-        is not counted in the write-back tally (it was not written back)."""
-        c = make()
-        c.lock(1)
-        c.lookup(1, is_write=True)          # locked AND dirty
-        c.fill(2, dirty=True)               # unlocked dirty: flushed
-        assert c.flush() == 1               # only the unlocked one
-        assert c.contains(1)
-        assert c._sets[c.set_index(1)][1][0]   # still dirty
-        assert c.flush() == 0               # stays resident, not recounted
-        assert c.contains(1)
-
-    def test_fill_existing_entry_in_fully_locked_set_merges(self):
-        """A fill that hits an already-resident block must merge dirty and
-        locked bits even when every way of the set is locked."""
-        c = make(size=2 * 64, assoc=2)
-        c.lock(0)
-        c.lock(c.n_sets)
-        assert c.fill(0, dirty=True) is None
-        entry = c._sets[c.set_index(0)][0]
-        assert entry[0] and entry[1]        # dirty merged, lock kept
-        assert c.contains(0) and c.contains(c.n_sets)
-
-    def test_fill_on_fully_locked_set_counts_no_eviction(self):
-        c = make(size=2 * 64, assoc=2)
-        c.lock(0)
-        c.lock(c.n_sets)
-        before = (c.evictions, c.writebacks)
-        assert c.fill(2 * c.n_sets, dirty=True) is None
-        assert (c.evictions, c.writebacks) == before
-        assert len(c) == 2
-
-    def test_lock_upgrade_of_existing_dirty_entry(self):
-        """lock() on a block that is already resident and dirty must pin
-        it without clearing the dirty bit."""
-        c = make(size=2 * 64, assoc=2)
-        c.fill(5 * c.n_sets, dirty=True)
-        c.lock(5 * c.n_sets)
-        entry = c._sets[c.set_index(5 * c.n_sets)][5 * c.n_sets]
-        assert entry == [True, True]
-        for a in range(1, 10):              # eviction pressure
-            c.fill(5 * c.n_sets + a * c.n_sets)
-        assert c.contains(5 * c.n_sets)     # never chosen as victim
-        assert c.flush() == 0               # and flush keeps it, uncounted
-        assert c.contains(5 * c.n_sets)
+        c.lookup(3)
+        c.fill(3)
+        c.lookup(3, is_write=True)
+        assert c.flush() == 2
+        assert len(c) == 0
+        assert c.flush() == 0

@@ -50,18 +50,10 @@ class TestMirage:
         c = make(size=256, assoc=2)
         evicted_dirty = 0
         for a in range(100):
-            ev = c.fill(a, dirty=True)
-            if ev is not None and ev.dirty:
+            if c.fill(a, dirty=True) is not None:
                 evicted_dirty += 1
         assert evicted_dirty > 0
-        assert c.writebacks == evicted_dirty
-
-    def test_locked_blocks_survive_streaming(self):
-        c = make(size=512, assoc=2)
-        c.lock(7)
-        for a in range(1000, 3000):
-            c.fill(a)
-        assert c.contains(7)
+        assert c.stats.writebacks == evicted_dirty
 
     def test_mix_is_deterministic(self):
         assert _mix(123, 456) == _mix(123, 456)

@@ -171,20 +171,22 @@ class TestProfiledRuns:
     @pytest.mark.parametrize("scheme", ["baseline", "ivleague-pro"])
     def test_sampled_run_binds_the_fused_hooks(self, tiny, scheme,
                                                monkeypatch):
-        """The engine never calls a cache's own ``lookup`` or the
-        controller's ``read``/``write``.  Page walks do, through the
-        hierarchy and the controller, so their calls are set apart."""
+        """The engine never calls a cache's ``lookup`` method
+        (``MirageCache`` inherits it) or the controller's
+        ``read``/``write``.  Page walks do, through the hierarchy and
+        the controller, so their calls are set apart.  Each spy
+        replaces an attribute its class defines itself."""
         from repro.mem.cache import Cache
         from repro.mem.hierarchy import CacheHierarchy
         from repro.mem.memctrl import MemoryController
-        from repro.mem.mirage import MirageCache
 
         walk_code = {Simulator._page_walk.__code__,
                      CacheHierarchy.access.__code__}
         calls, walk_calls = [], []
         for cls, attr in ((MemoryController, "read"),
                           (MemoryController, "write"),
-                          (Cache, "lookup"), (MirageCache, "lookup")):
+                          (Cache, "lookup")):
+            assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
             def counted(*args, _orig=getattr(cls, attr),
                         _name=f"{cls.__name__}.{attr}", **kwargs):
                 caller = sys._getframe(1).f_code

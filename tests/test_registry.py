@@ -276,10 +276,10 @@ class TestMirageStats:
         for addr in range(0, 64 * 500, 64):   # enough to force evictions
             if not c.lookup(addr):
                 c.fill(addr)
-        assert c.evictions > 0
+        assert c.stats.evictions > 0
         assert reg.check_invariants() == []
         # mutation self-test: phantom eviction breaks the bound
-        c.evictions = c.skew0_fills + c.skew1_fills + 1
+        c.stats.evictions = c.stats.skew0_fills + c.stats.skew1_fills + 1
         with pytest.raises(InvariantViolation) as ei:
             reg.check_invariants()
         assert "mirage-eviction-bound" in str(ei.value)
