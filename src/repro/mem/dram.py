@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mem.spaces import block_of, space_of
+from repro.mem.spaces import SPACE_SHIFT, space_of
 from repro.sim.config import DRAMConfig
 from repro.sim.trace import NULL_TRACER
 
@@ -45,13 +45,19 @@ class DRAMStats:
         return self.total_read_latency / self.reads if self.reads else 0.0
 
 
+#: Block-number bits of a tagged address (below the space tag).
+_BLOCK_MASK = (1 << SPACE_SHIFT) - 1
+
+
 def _bank_and_row(addr: int, channels: int, blocks_per_row: int,
                   banks_per_channel: int) -> tuple[int, int]:
     """(bank, row) of a tagged block address: a module function, so the
     open-row body bound by :meth:`DRAM.set_tracer` can map addresses
-    without holding a reference back to its device."""
-    blk = block_of(addr)
-    spc = space_of(addr)
+    without holding a reference back to its device.  Every command maps
+    its address, so the tag is masked and shifted inline: two
+    ``block_of``/``space_of`` calls would cost more than the arithmetic."""
+    blk = addr & _BLOCK_MASK
+    spc = addr >> SPACE_SHIFT
     channel = (blk ^ spc) % channels
     row_global = blk // blocks_per_row
     bank_in_channel = (row_global ^ (spc * 7)) % banks_per_channel
@@ -68,12 +74,8 @@ class DRAM:
         self._open_row = [-1] * n
         self._busy_until = [0.0] * n
         self.stats = DRAMStats()
-        # (bank, row) is a pure function of the address; the working set
-        # of distinct block addresses is bounded by the workload
-        # footprint, so the mapping is memoized off the hot path.
-        self._br_memo: dict[int, tuple[int, int]] = {}
-        # Address-mapping constants, hoisted out of the config: the
-        # memo-miss path would re-read three attributes per mapping.
+        # Address-mapping constants, read once from the config for
+        # ``bank_and_row`` and the open-row body.
         self._channels = config.channels
         self._blocks_per_row = config.row_bytes // 64
         self._banks_per_channel = (config.ranks_per_channel
@@ -92,14 +94,11 @@ class DRAM:
         Blocks interleave across channels at block granularity (the common
         fine-grained interleaving), then across banks at row granularity.
         The address-space tag participates in the hash so metadata regions
-        spread over all banks rather than piling onto bank 0.
+        spread over all banks rather than piling onto bank 0.  The open-row
+        body maps every command with the same function.
         """
-        br = self._br_memo.get(addr)
-        if br is None:
-            br = self._br_memo[addr] = _bank_and_row(
-                addr, self._channels, self._blocks_per_row,
-                self._banks_per_channel)
-        return br
+        return _bank_and_row(addr, self._channels, self._blocks_per_row,
+                             self._banks_per_channel)
 
     # -- accesses ------------------------------------------------------------
 
@@ -116,8 +115,6 @@ class DRAM:
         closure holds the device's state, never the device, so binding
         creates no reference cycle.
         """
-        memo = self._br_memo
-        memo_get = memo.get
         channels = self._channels
         per_row = self._blocks_per_row
         per_channel = self._banks_per_channel
@@ -135,11 +132,7 @@ class DRAM:
         emit = tracer if tracer.enabled else None
 
         def command(addr: int, now: float, is_write: bool) -> float:
-            br = memo_get(addr)
-            if br is None:
-                br = memo[addr] = _bank_and_row(addr, channels, per_row,
-                                                per_channel)
-            bank, row = br
+            bank, row = _bank_and_row(addr, channels, per_row, per_channel)
             busy = busy_until[bank]
             start = now if now >= busy else busy
             # Explicit hit flag: inferring it back from ``latency ==

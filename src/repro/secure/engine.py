@@ -2,10 +2,13 @@
 
 The *engine* is everything behind the LLC: DRAM plus the secure-memory
 machinery (counters, MACs, integrity tree, metadata caches).  The
-simulator calls it on LLC misses, dirty write-backs and page lifecycle
-events.  All five evaluated schemes (Baseline, static partitioning,
-IvLeague-Basic/-Invert/-Pro) implement this interface, which is what
-makes every experiment scheme-agnostic.
+simulator calls its four entry points: ``data_access`` on LLC misses,
+``handle_writeback`` on dirty write-backs, and ``on_page_alloc`` /
+``on_page_free`` on page lifecycle events.  All nine engines (Baseline,
+IvLeague-Basic/-Invert/-Pro, the two bit-vector allocator ablations
+IvLeague-BV1/-BV2, the SGX counter tree, VAULT and static partitioning)
+implement this interface, which is what makes every experiment
+scheme-agnostic.
 
 Timing model: the data fetch and the metadata fetch proceed in parallel;
 within the metadata path, counter fetch -> leaf-to-trusted-node traversal

@@ -53,7 +53,7 @@ from repro.sim.config import BLOCKS_PER_PAGE, MachineConfig
 from repro.sim.cpu import CoreModel
 from repro.sim.hist import HistogramSet
 from repro.sim.registry import StatsRegistry
-from repro.sim.stats import CoreStats, RunResult
+from repro.sim.stats import CoreStats, RunResult, SimStats
 from repro.sim.trace import NULL_TRACER
 from repro.workloads.generator import WorkloadSpec
 
@@ -109,9 +109,7 @@ class Simulator:
         self.tlb = TLB(config.tlb_entries, config.tlb_assoc,
                        on_evict=on_evict)
         self._rng = np.random.default_rng(seed + 17)
-        #: Page-table-walk blocks read straight from the controller (the
-        #: engine never sees them); needed to balance the metadata ledger.
-        self.ptw_dram_reads = 0
+        self.stats = SimStats()
         self._states: list[_CoreState] = []
         # Per-request-class latency distributions (always on: recording
         # is one dict lookup + integer arithmetic per access).
@@ -140,40 +138,49 @@ class Simulator:
 
     def _build_registry(self) -> StatsRegistry:
         """Register every stat-bearing component of this machine plus
-        the simulator-scope conservation laws."""
+        the simulator-scope conservation laws.
+
+        The provider and the laws close over the stats objects they
+        read, never over the simulator, so the registry it holds forms
+        no reference cycle and a finished machine is freed by reference
+        counting.
+        """
         reg = StatsRegistry()
         self.hierarchy.register_stats(reg)
         self.tlb.register_stats(reg)
         self.engine.register_stats(reg)
-        reg.register("sim", self, ("ptw_dram_reads",))
+        sim_stats = self.stats
+        reg.register("sim", sim_stats)
         self.hists.register(reg, "hist.sim")
+        states = self._states
+        estats = self.engine.stats
+        traffic = self.engine.mc.traffic
+        llc_stats = self.hierarchy.llc.stats
         reg.register_provider(
             "cores",
             lambda: [(f"core{i}", st.stats, None)
-                     for i, st in enumerate(self._states)])
+                     for i, st in enumerate(states)])
         # Metadata reads the engine attributed, plus the walks the
         # simulator issued directly, must cover the controller's count.
         reg.add_equality(
             "metadata-read-attribution",
             "engine metadata reads + page-walk reads",
-            lambda: (self.engine.stats.dram_metadata_reads
-                     + self.ptw_dram_reads),
+            lambda: estats.dram_metadata_reads + sim_stats.ptw_dram_reads,
             "mc.traffic.metadata_reads",
-            lambda: self.engine.mc.traffic.metadata_reads)
+            lambda: traffic.metadata_reads)
         # Every dirty LLC eviction must reach the engine exactly once.
         reg.add_equality(
             "llc-writeback-conservation",
-            "llc.writebacks", lambda: self.hierarchy.llc.stats.writebacks,
+            "llc.writebacks", lambda: llc_stats.writebacks,
             "engine.writebacks_absorbed",
-            lambda: self.engine.stats.writebacks_absorbed)
+            lambda: estats.writebacks_absorbed)
         # LLC data misses are what the engine serves as data accesses.
         reg.add_equality(
             "llc-miss-to-engine",
             "sum of per-core llc_misses",
-            lambda: sum(st.stats.llc_misses for st in self._states),
+            lambda: sum(st.stats.llc_misses for st in states),
             "engine data_reads + data_writes",
-            lambda: (self.engine.stats.data_reads
-                     + self.engine.stats.data_writes))
+            lambda: estats.data_reads + estats.data_writes)
         return reg
 
     # -- helpers -------------------------------------------------------------------
@@ -188,7 +195,7 @@ class Simulator:
             lat += res.latency
             if res.llc_miss:
                 lat += self.engine.mc.read(addr, now + lat)
-                self.ptw_dram_reads += 1
+                self.stats.ptw_dram_reads += 1
             if res.writeback_addrs:
                 # A PTE fill can evict dirty data blocks; they flow back
                 # into the engine like any other LLC write-back (found by
@@ -552,7 +559,10 @@ class Simulator:
                     f"({shortest} accesses) entirely; nothing would be "
                     f"measured for that core")
         extended = hasattr(self.engine, "leafmap")
-        states: list[_CoreState] = []
+        # Filled in place: the registry's ``cores`` provider and the
+        # ``llc-miss-to-engine`` law read this list.
+        states = self._states
+        states.clear()
         tables: dict[int, PageTable] = {}
         for i, trace in enumerate(workload.traces):
             domain = workload.domain_of(i)
@@ -567,7 +577,6 @@ class Simulator:
             st.vpn_base = i << 24
             st.warmup_clock = 0.0
             states.append(st)
-        self._states = states
 
         if warmup:
             self._drain(states, warmup)

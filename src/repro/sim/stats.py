@@ -106,6 +106,15 @@ class CoreStats:
 
 
 @dataclass
+class SimStats:
+    """Simulator-scope counters, registered as ``sim``."""
+
+    #: Page-table-walk blocks read straight from the controller (the
+    #: engine never sees them); needed to balance the metadata ledger.
+    ptw_dram_reads: int = 0
+
+
+@dataclass
 class RunResult:
     """Outcome of simulating one workload mix under one scheme."""
 

@@ -23,7 +23,8 @@ time).  This suite pins that down:
   pair it fused (the SGX counter-tree dirty-walk regression);
 * every engine in the registry must produce identical results with and
   without a tracer installed (``tests/test_golden.py`` pins both against
-  committed digests), and its hooks must create no reference cycle.
+  committed digests), its hooks must create no reference cycle, and a
+  simulator that ran it must be freed by reference counting.
 """
 
 import dataclasses
@@ -837,6 +838,31 @@ def test_bound_hooks_leave_no_reference_cycle(scheme):
                 engine.mac_cache, engine.tree_cache)]
             del engine, attached
             assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("scheme", ALL_NINE)
+def test_finished_simulator_leaves_no_reference_cycle(scheme, traced):
+    """The simulator's registry reads the stats objects, never the
+    simulator: after a run with a warm-up and the invariant check, the
+    machine (simulator, registry, engine, hierarchy, LLC, allocator, TLB
+    and DRAM) is freed by reference counting alone, so cells run back to
+    back hold one machine at a time."""
+    cfg = tiny_config(n_cores=4)
+    workload = build_mix("S-1", n_accesses=600, seed=3, scale=0.05)
+    gc.disable()
+    try:
+        engine = resolve_engine(scheme)(cfg, seed=11)
+        sim = Simulator(cfg, engine, seed=3,
+                        tracer=EventTracer(limit=8) if traced else None)
+        sim.run(workload, warmup=100, check_invariants=True)
+        refs = [weakref.ref(obj) for obj in (
+            sim, sim.registry, engine, sim.hierarchy, sim.hierarchy.llc,
+            sim.allocator, sim.tlb, engine.mc.dram)]
+        del sim, engine
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
