@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mem.spaces import SPACE_SHIFT, space_of
+from repro.mem.spaces import BLOCK_MASK, SPACE_SHIFT, space_of
 from repro.sim.config import DRAMConfig
 from repro.sim.trace import NULL_TRACER
 
@@ -45,10 +45,6 @@ class DRAMStats:
         return self.total_read_latency / self.reads if self.reads else 0.0
 
 
-#: Block-number bits of a tagged address (below the space tag).
-_BLOCK_MASK = (1 << SPACE_SHIFT) - 1
-
-
 def _bank_and_row(addr: int, channels: int, blocks_per_row: int,
                   banks_per_channel: int) -> tuple[int, int]:
     """(bank, row) of a tagged block address: a module function, so the
@@ -56,7 +52,7 @@ def _bank_and_row(addr: int, channels: int, blocks_per_row: int,
     without holding a reference back to its device.  Every command maps
     its address, so the tag is masked and shifted inline: two
     ``block_of``/``space_of`` calls would cost more than the arithmetic."""
-    blk = addr & _BLOCK_MASK
+    blk = addr & BLOCK_MASK
     spc = addr >> SPACE_SHIFT
     channel = (blk ^ spc) % channels
     row_global = blk // blocks_per_row

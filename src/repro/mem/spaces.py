@@ -10,6 +10,8 @@ through a single integer keyspace without aliasing.
 from __future__ import annotations
 
 SPACE_SHIFT = 48
+#: The block-number bits of a tagged address, below the space tag.
+BLOCK_MASK = (1 << SPACE_SHIFT) - 1
 
 DATA = 0
 COUNTER = 1
@@ -42,7 +44,7 @@ def space_of(addr: int) -> int:
 
 
 def block_of(addr: int) -> int:
-    return addr & ((1 << SPACE_SHIFT) - 1)
+    return addr & BLOCK_MASK
 
 
 def space_name(addr: int) -> str:

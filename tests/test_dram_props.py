@@ -318,7 +318,7 @@ def _command_stream(n, seed):
     addresses, and fractional times with back-to-back commands that
     queue behind a busy bank."""
     rng = random.Random(seed)
-    top = (1 << spaces.SPACE_SHIFT) - 1
+    top = spaces.BLOCK_MASK
     out = []
     now = 0.0
     for _ in range(n):
