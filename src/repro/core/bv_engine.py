@@ -54,32 +54,23 @@ class _BVBase(IvLeagueBasicEngine):
 
     # -- allocation / deallocation -------------------------------------------------
 
-    def on_page_alloc(self, domain: int, pfn: int, now: float) -> float:
-        self.stats.page_allocs += 1
+    def _alloc_slot(self, domain: int, chain,
+                    now: float) -> tuple[BVOp, float]:
+        """Bit-vector scan in place of the NFL ``chain``, attaching
+        TreeLings until a slot is found (BV-v1 may starve the pool)."""
         bv = self._bvs[domain]
         lat = 0.0
         while True:
             op = bv.alloc()
             lat += self._bv_charge(op, now + lat)
             if op.ok:
-                break
+                return op, lat
             treeling = self.pool.assign_treeling(domain)  # may starve
             bv.append_treeling(treeling, self._node_order(treeling))
-        slot_id = op.node_global * TREE_ARITY + op.slot
-        self.leafmap.set(pfn, slot_id)
-        self._slot_pfn[slot_id] = pfn
-        self.lmm_cache.insert(pfn, slot_id)
-        return lat
 
-    def on_page_free(self, domain: int, pfn: int, now: float) -> float:
-        self.stats.page_frees += 1
-        self._page_writes.pop(pfn, None)
-        slot_id = self.leafmap.pop(pfn)
-        self._slot_pfn.pop(slot_id, None)
-        self.lmm_cache.invalidate(pfn)
-        node_global, slot = divmod(slot_id, TREE_ARITY)
-        op = self._bvs[domain].free(node_global, slot)
-        return self._bv_charge(op, now)
+    def _free_slot(self, domain: int, node_global: int, slot: int,
+                   now: float) -> float:
+        return self._bv_charge(self._bvs[domain].free(node_global, slot), now)
 
     # -- Fig. 17b-style metrics --------------------------------------------------------
 

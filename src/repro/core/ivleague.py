@@ -34,6 +34,7 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         # Hot-path constant (same float the config property yields).
         self._lmm_hit_lat = float(iv.lmm_hit_latency)
         self.leafmap = LeafMap()
+        self._live_pages = self.leafmap.slots
         self.lmm_cache = LMMCache(iv.lmm_entries, iv.lmm_assoc)
         self._chains: dict[int, ChainedNFL] = {}
         self._nflb: dict[int, NFLBuffer] = {}
@@ -139,6 +140,7 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         self._nflb[domain] = NFLBuffer(self.config.ivleague.nflb_entries)
 
     def on_domain_end(self, domain: int) -> None:
+        super().on_domain_end(domain)
         self.pool.destroy_domain(domain)
         self._chains.pop(domain, None)
         self._nflb.pop(domain, None)
@@ -163,6 +165,13 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                     now: float) -> tuple[NFLOp, float]:
         """NFL allocation, attaching TreeLings until a slot is found."""
         return self._alloc_from(domain, chain, now, allow_grow=True)
+
+    def _free_slot(self, domain: int, node_global: int, slot: int,
+                   now: float) -> float:
+        """Return a page's slot to the domain's NFL; returns the latency
+        of the NFL blocks touched."""
+        op = self._chain_of(domain).free(node_global, slot)
+        return self._nfl_charge(domain, op.touched_blocks, now)
 
     def _post_alloc(self, domain: int, chain: ChainedNFL, op: NFLOp,
                     now: float) -> tuple[NFLOp, float]:
@@ -196,13 +205,7 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         self._slot_pfn.pop(slot_id, None)
         self.lmm_cache.invalidate(pfn)
         node_global, slot = divmod(slot_id, TREE_ARITY)
-        chain = self._free_chain_for(domain, node_global)
-        op = chain.free(node_global, slot)
-        return self._nfl_charge(domain, op.touched_blocks, now)
-
-    def _free_chain_for(self, domain: int, node_global: int) -> ChainedNFL:
-        """Hook: Pro routes hot-region nodes to the hot NFL."""
-        return self._chain_of(domain)
+        return self._free_slot(domain, node_global, slot, now)
 
     # -- verification -----------------------------------------------------------------------
 
@@ -225,11 +228,10 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         self._write_meta(self.leafmap.pte_block_addr(pfn), now + lat)
         return ref, lat
 
-    def _verify(self, domain: int, pfn: int, now: float,
-                for_write: bool) -> float:
-        """Counter fetch, LMM probe, then the TreeLing walk up to the
-        first cached node (at the latest the locked on-chip parent of
-        the TreeLing root -- no in-memory sharing with other domains).
+    def _locate(self, pfn: int, now: float) -> tuple:
+        """LMM probe, then the TreeLing path of the page's slot; it ends
+        below the locked on-chip parent of the TreeLing root, so no
+        in-memory node is shared with another domain.
 
         The dynamic page-to-slot mapping means the path is *not* pure in
         the PFN -- but the LMM probe must run on every counter miss
@@ -241,36 +243,22 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         hooks: a remapped page simply resolves to a different (memoized)
         slot.  Stale mappings take the ``_resolve_slot`` fix-up first.
         """
-        if pfn not in self.leafmap:
-            # Late write-back of a block whose page was already freed: the
-            # slot was reclaimed on free, so there is nothing to verify.
-            return 0.0
-        ctr_addr = self._ctr_base | pfn
         stats = self.stats
         instrumented = self._instrumented
-        if self._ctr_probe(ctr_addr, for_write):
-            stats.counter_hits += 1
-            if instrumented:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        stats.counter_misses += 1
-        if instrumented:
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
-        clock = now
-        read_meta = self._read_meta
         # On-chip LMM cache probe; a miss reads the PTE block.
         cached = self.lmm_cache.lookup(pfn)
         if cached is not None:
             stats.lmm_hits += 1
             if instrumented:
-                self.tracer.instant("engine", "lmm_hit", ts=clock, pfn=pfn)
+                self.tracer.instant("engine", "lmm_hit", ts=now, pfn=pfn)
             slot_id = cached
-            clock += self._lmm_hit_lat
+            clock = now + self._lmm_hit_lat
         else:
             stats.lmm_misses += 1
             if instrumented:
-                self.tracer.instant("engine", "lmm_miss", ts=clock, pfn=pfn)
-            clock += read_meta(self.leafmap.pte_block_addr(pfn), clock)
+                self.tracer.instant("engine", "lmm_miss", ts=now, pfn=pfn)
+            clock = now + self._read_meta(self.leafmap.pte_block_addr(pfn),
+                                          now)
             slot_id = self.leafmap.get(pfn)
             self.lmm_cache.insert(pfn, slot_id)
         geo = self.geometry
@@ -286,30 +274,8 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                     ref.treeling, ref.level, ref.node_index))
                 self.tree_cache.prime_candidates(rec[1])
             ref, paddrs = rec
-        clock += read_meta(ctr_addr, clock)
-        visited = 1
-        tree_probe = self._tree_probe
-        tree_fill = self._tree_fill
-        write_meta = self._write_meta
-        hash_lat = self._hash_lat
-        for addr in paddrs:
-            if tree_probe(addr, for_write):
-                break  # trusted on-chip copy terminates the walk
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if instrumented:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=ref.level + visited - 2,
-                                    addr=addr, treeling=ref.treeling)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_fill(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        self._record_path(domain, visited)
-        wb = self._ctr_fill(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+        return (clock, paddrs, ref.level,
+                {"treeling": ref.treeling} if instrumented else None)
 
     # -- Fig. 17b metrics -----------------------------------------------------------------------
 

@@ -72,31 +72,32 @@ class LeafMap:
     """Authoritative PFN -> slot mapping ("the LMM in the page table")."""
 
     def __init__(self) -> None:
-        self._map: dict[int, int] = {}
+        #: PFN -> slot id of every mapped page.
+        self.slots: dict[int, int] = {}
         self._stale: set[int] = set()
 
     def __contains__(self, pfn: int) -> bool:
-        return pfn in self._map
+        return pfn in self.slots
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.slots)
 
     def set(self, pfn: int, slot_id: int, stale: bool = False) -> None:
-        self._map[pfn] = slot_id
+        self.slots[pfn] = slot_id
         if stale:
             self._stale.add(pfn)
         else:
             self._stale.discard(pfn)
 
     def get(self, pfn: int) -> int:
-        return self._map[pfn]
+        return self.slots[pfn]
 
     def pop(self, pfn: int) -> int:
         self._stale.discard(pfn)
-        return self._map.pop(pfn)
+        return self.slots.pop(pfn)
 
     def mark_stale(self, pfn: int) -> None:
-        if pfn not in self._map:
+        if pfn not in self.slots:
             raise KeyError(f"pfn {pfn} has no mapping to mark stale")
         self._stale.add(pfn)
 

@@ -105,12 +105,14 @@ class IvLeagueProEngine(IvLeagueInvertEngine):
 
     # -- slot routing -----------------------------------------------------------------------------
 
-    def _free_chain_for(self, domain: int, node_global: int) -> ChainedNFL:
-        geo = self.geometry
-        local = node_global % geo.nodes_per_treeling
-        if self._is_hot_local(local):
-            return self._hot_chains[domain]
-        return self._chain_of(domain)
+    def _free_slot(self, domain: int, node_global: int, slot: int,
+                   now: float) -> float:
+        """A hot-region slot goes back to the hot NFL."""
+        local = node_global % self.geometry.nodes_per_treeling
+        if not self._is_hot_local(local):
+            return super()._free_slot(domain, node_global, slot, now)
+        op = self._hot_chains[domain].free(node_global, slot)
+        return self._nfl_charge(domain, op.touched_blocks, now)
 
     # -- tracker-driven migration -----------------------------------------------------------------
 
@@ -157,9 +159,7 @@ class IvLeagueProEngine(IvLeagueInvertEngine):
         self.leafmap.set(pfn, new_sid)
         self.lmm_cache.insert(pfn, new_sid)
         self._write_meta(self.leafmap.pte_block_addr(pfn), now + lat)
-        src_chain = self._free_chain_for(domain, old_node)
-        fop = src_chain.free(old_node, old_slot)
-        self._nfl_charge(domain, fop.touched_blocks, now + lat)
+        self._free_slot(domain, old_node, old_slot, now + lat)
         return True
 
     def _promote(self, domain: int, pfn: int, now: float) -> None:

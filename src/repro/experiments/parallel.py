@@ -468,44 +468,27 @@ def _instrumented(worker, spec, timeout=None):
     the process-pool pickle boundary).
 
     Returns ``(outcome, meta)`` where ``meta`` carries the cell's wall
-    time, the worker process's peak RSS, and a worker-side
-    :class:`repro.obs.metrics.Metrics` snapshot for the parent to merge
-    (so pool workers' instruments read like one process's totals).
+    time and the worker process's peak RSS.
     """
-    from repro.obs.metrics import Metrics
-
-    m = Metrics()
     t0 = time.perf_counter()
     outcome = call_with_timeout(worker, spec, timeout)
     wall = time.perf_counter() - t0
-    rss = peak_rss_kb()
-    failed = isinstance(outcome, CellFailure)
-    m.timer("cell_wall").observe(wall)
-    m.gauge("peak_rss_kb").set_max(rss)
-    m.counter("cells_failed" if failed else "cells_finished").inc()
-    return outcome, {"wall_s": wall, "peak_rss_kb": rss,
-                     "metrics": m.snapshot()}
+    return outcome, {"wall_s": wall, "peak_rss_kb": peak_rss_kb()}
 
 
-def _note_done(reporter, metrics, key: str, spec, outcome, meta) -> None:
-    """Fan one finished cell's telemetry to the reporter and metrics."""
-    if metrics is not None:
-        metrics.merge(meta["metrics"])
-    if reporter is not None:
-        if isinstance(outcome, CellFailure):
-            reporter.cell_failed(key, outcome.kind, outcome.message,
-                                 label=_spec_label(spec),
-                                 wall_s=meta["wall_s"],
-                                 peak_rss_kb=meta["peak_rss_kb"])
-        else:
-            reporter.cell_finish(key, label=_spec_label(spec),
-                                 wall_s=meta["wall_s"],
-                                 peak_rss_kb=meta["peak_rss_kb"])
+def _note_done(reporter, key: str, spec, outcome, meta) -> None:
+    """Report one finished cell's telemetry."""
+    if reporter is None:
+        return
+    if isinstance(outcome, CellFailure):
+        reporter.cell_failed(key, outcome.kind, outcome.message,
+                             label=_spec_label(spec), **meta)
+    else:
+        reporter.cell_finish(key, label=_spec_label(spec), **meta)
 
 
 def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
-                  cache: ResultCache | None = None,
-                  reporter=None, metrics=None,
+                  cache: ResultCache | None = None, reporter=None,
                   timeout: float | None = None) -> list:
     """Generic fan-out: run ``worker(spec)`` for every spec through the
     persistent cache.
@@ -517,11 +500,10 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
     fault-injection campaign runner — any deterministic, embarrassingly
     parallel sweep can ride it.
 
-    ``reporter`` (a :class:`repro.obs.progress.ProgressReporter`) and
-    ``metrics`` (a :class:`repro.obs.metrics.Metrics`) opt into
-    telemetry: lifecycle events per cell, per-cell wall time and worker
-    peak RSS, live results via ``as_completed``.  Every cold cell runs
-    through :func:`_instrumented` either way; with both ``None`` (the
+    ``reporter`` (a :class:`repro.obs.progress.ProgressReporter`) opts
+    into telemetry: lifecycle events per cell, per-cell wall time and
+    worker peak RSS, live results via ``as_completed``.  Every cold cell
+    runs through :func:`_instrumented` either way; with no reporter (the
     default) its telemetry is simply dropped.
 
     ``timeout`` bounds each cell's wall-clock time: a hung worker is
@@ -555,16 +537,13 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
         reporter.sweep_start(total=len(seen), cached=len(cached), jobs=jobs)
         for key, spec in cached:
             reporter.cell_cached(key, label=_spec_label(spec))
-    if metrics is not None:
-        metrics.counter("cells_total").inc(len(seen))
-        metrics.counter("cells_cached").inc(len(cached))
 
     if jobs <= 1 or len(pending) <= 1:
         for key, spec in pending:
             if reporter is not None:
                 reporter.cell_start(key, label=_spec_label(spec))
             outcome, meta = _instrumented(worker, spec, timeout)
-            _note_done(reporter, metrics, key, spec, outcome, meta)
+            _note_done(reporter, key, spec, outcome, meta)
             outcomes[key] = outcome
     else:
         with ProcessPoolExecutor(
@@ -583,8 +562,8 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
                     outcome, meta = fut.result()
                 except BrokenProcessPool as exc:
                     outcome = _crash_failure(exc)
-                    meta = {"wall_s": 0.0, "peak_rss_kb": 0, "metrics": {}}
-                _note_done(reporter, metrics, key, spec, outcome, meta)
+                    meta = {"wall_s": 0.0, "peak_rss_kb": 0}
+                _note_done(reporter, key, spec, outcome, meta)
                 outcomes[key] = outcome
     if cache is not None:
         for key, spec in pending:
@@ -596,16 +575,12 @@ def execute_tasks(specs: Sequence, worker, key_fn, jobs: int = 1,
         reporter.sweep_end(
             cache_hits=(cache.hits - hits0) if cache is not None else 0,
             cache_misses=(cache.misses - misses0) if cache is not None else 0)
-    if metrics is not None and cache is not None:
-        metrics.counter("cache_hits").inc(cache.hits - hits0)
-        metrics.counter("cache_misses").inc(cache.misses - misses0)
 
     return [outcomes[key] for key in keys]
 
 
 def execute(cells: Sequence[Cell], jobs: int = 1,
-            cache: ResultCache | None = None,
-            reporter=None, metrics=None,
+            cache: ResultCache | None = None, reporter=None,
             timeout: float | None = None) -> list:
     """Run every cell, in parallel, through the persistent cache.
 
@@ -617,8 +592,7 @@ def execute(cells: Sequence[Cell], jobs: int = 1,
     time; see :func:`execute_tasks`.
     """
     return execute_tasks(cells, run_cell, cell_key, jobs=jobs, cache=cache,
-                         reporter=reporter, metrics=metrics,
-                         timeout=timeout)
+                         reporter=reporter, timeout=timeout)
 
 
 def scale_cell(mix: str, scheme: str, sc,

@@ -129,9 +129,6 @@ class TreeGeometry:
         return spaces.tag(spaces.TREE,
                           self._level_base[node.level - 1] + node.index)
 
-    def counter_addr(self, counter_block: int) -> int:
-        return spaces.tag(spaces.COUNTER, counter_block)
-
 
 def _frame(part: bytes) -> bytes:
     """``part`` as :func:`keyed_hash` frames it: 4-byte length, bytes."""

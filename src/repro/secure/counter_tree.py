@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.secure.crypto import keyed_hash
 from repro.secure.engine import BaselineEngine
-from repro.sim.config import MachineConfig, TREE_ARITY
+from repro.sim.config import TREE_ARITY
 
 
 class CounterTreeTamper(Exception):
@@ -162,9 +162,6 @@ class SgxCounterTreeEngine(BaselineEngine):
 
     name = "sgx-counter-tree"
 
-    def __init__(self, config: MachineConfig, seed: int = 11) -> None:
-        super().__init__(config, seed)
-
     def _verify(self, domain: int, pfn: int, now: float,
                 for_write: bool) -> float:
         lat = super()._verify(domain, pfn, now, for_write)
@@ -172,13 +169,16 @@ class SgxCounterTreeEngine(BaselineEngine):
             # Counter-tree write: the path's nodes are dirtied up to the
             # first cached level (they hold incremented counters now).
             # ``touch_dirty`` probes each node once (contains + dirty
-            # lookup fused).  The baseline walk built the memo entry
-            # even on a counter hit, so this walk reuses it.
+            # lookup fused).  A counter hit walks nothing, so the path
+            # may not be memoized yet.
+            paddrs = self._path_memo.get(pfn)
+            if paddrs is None:
+                paddrs = self._locate(pfn, now)[1]
             fill_at = now + lat
             touch = self.tree_cache.touch_dirty
             tree_fill = self._tree_fill
             write_meta = self._write_meta
-            for addr in self._path_memo[pfn][1]:
+            for addr in paddrs:
                 if touch(addr):
                     break
                 wb = tree_fill(addr, True)

@@ -15,6 +15,12 @@ within the metadata path, counter fetch -> leaf-to-trusted-node traversal
 -> decryption is serial (each step needs the previous).  The access
 latency returned to the core is the max of the two paths.  Dirty
 write-backs are posted (they occupy DRAM banks but do not stall).
+
+There is one verify walk, :meth:`SecureMemoryEngine._verify`.  A scheme
+supplies only the path it walks, through ``_locate``: Baseline, the SGX
+counter tree and VAULT their static global path, static partitioning
+an offset subtree's, and IvLeague the TreeLing path of the slot its
+LMM maps the page to.
 """
 
 from __future__ import annotations
@@ -87,9 +93,14 @@ class SecureMemoryEngine(ABC):
         #: campaigns) can force or suppress overflows per engine.
         self.overflow_writes_per_page = OVERFLOW_WRITES_PER_PAGE
         #: Resolved verify-path memo (scheme-specific key; see the
-        #: ``_verify`` implementations).  Every entry is a pure function
+        #: ``_locate`` implementations).  Every entry is a pure function
         #: of its key, so no invalidation is ever needed.
         self._path_memo: dict = {}
+        #: Pages that have a tree slot, for schemes that reclaim a freed
+        #: page's slot (IvLeague's LMM); ``None`` where every page has a
+        #: path.  A walk for a page outside it verifies nothing.  An
+        #: instance attribute: the walk reads it on every call.
+        self._live_pages = None
         self._bind_hooks()
 
     # -- hooks for subclasses ------------------------------------------------------
@@ -99,14 +110,25 @@ class SecureMemoryEngine(ABC):
                           seed=seed * 3)
 
     @abstractmethod
-    def _verify(self, domain: int, pfn: int, now: float,
-                for_write: bool) -> float:
-        """Fetch + verify the counter block of ``pfn``; returns latency."""
+    def _locate(self, pfn: int, now: float) -> tuple:
+        """Find the verify path of ``pfn`` after a counter miss.
+
+        Returns ``(clock, path, level, labels)``: the time the path is
+        known (the counter read starts then), the tagged node addresses
+        leaf first, up to but excluding the node trusted on chip, the
+        tree level of the first, and the extra arguments of the walk's
+        ``tree.node`` events (built only when tracing, ``None``
+        otherwise)."""
+
+    def _page_labels(self, pfn: int) -> dict:
+        """Extra arguments of ``pfn``'s ``tree.counter_miss`` event;
+        called only when tracing."""
+        return {}
 
     # -- bound metadata hooks ------------------------------------------------------
     #
     # Every LLC-missing access funnels through ``data_access`` /
-    # ``handle_writeback`` into the scheme's ``_verify`` walk, and every
+    # ``handle_writeback`` into the one ``_verify`` walk, and every
     # engine path reaches the metadata caches and DRAM only through the
     # hooks bound here: the caches' probe/fill closures and the fused
     # controller+DRAM closures.  There is one binding whatever tracer is
@@ -197,16 +219,6 @@ class SecureMemoryEngine(ABC):
         for rec in self.domain_path.values():
             rec[0] = rec[1] = 0
 
-    # -- shared low-level helpers ----------------------------------------------------
-
-    def _record_path(self, domain: int, visited: int) -> None:
-        self.stats.verifications += 1
-        self.stats.tree_nodes_visited += visited
-        self._h_path.record(visited)
-        rec = self.domain_path.setdefault(domain, [0, 0])
-        rec[0] += 1
-        rec[1] += visited
-
     def set_tracer(self, tracer) -> None:
         """Install ``tracer`` on this engine and everything behind it."""
         self.tracer = tracer
@@ -218,10 +230,6 @@ class SecureMemoryEngine(ABC):
     @staticmethod
     def data_addr(pfn: int, block_in_page: int) -> int:
         return spaces.tag(spaces.DATA, pfn * BLOCKS_PER_PAGE + block_in_page)
-
-    def mac_addr(self, pfn: int, block_in_page: int) -> int:
-        block = pfn * BLOCKS_PER_PAGE + block_in_page
-        return spaces.tag(spaces.MAC, block // 8)
 
     # -- main entry points ------------------------------------------------------------
 
@@ -301,11 +309,6 @@ class SecureMemoryEngine(ABC):
             self._reencrypt_page(domain, pfn, now)
         self._page_writes[pfn] = writes
 
-    def _counter_addr(self, pfn: int) -> int:
-        """Tagged address of the page's counter block (identical across
-        schemes: one counter block per page, densely indexed by PFN)."""
-        return spaces.tag(spaces.COUNTER, pfn)
-
     def _reencrypt_page(self, domain: int, pfn: int, now: float) -> None:
         """Minor-counter overflow: stream the page through the crypto
         engine (posted reads+writes; rare, so modelled without stall).
@@ -326,10 +329,72 @@ class SecureMemoryEngine(ABC):
             addr = self.data_addr(pfn, b)
             self._read_data(addr, now)
             self._write_data(addr, now)
-        # Counter write-back + dirty tree-path update (scheme-specific
-        # walk: partition offsets, TreeLing slots, VAULT arities).
-        self._write_meta(self._counter_addr(pfn), now)
+        # Counter write-back + dirty tree-path update (the scheme's
+        # path: partition offsets, TreeLing slots, VAULT arities).
+        self._write_meta(self._ctr_base | pfn, now)
         self._verify(domain, pfn, now, True)
+
+    # -- the verify walk ----------------------------------------------------------------
+
+    def _verify(self, domain: int, pfn: int, now: float,
+                for_write: bool) -> float:
+        """Fetch + verify the counter block of ``pfn``; returns latency.
+
+        Counter probe; on a miss, ``_locate`` finds the path, the counter
+        block is read and the walk reads nodes up to the first cached
+        (trusted) one: at the latest the on-chip root, a partition's
+        root, or the locked parent of a TreeLing root.  One counter
+        block per page, densely indexed by PFN, in every scheme.
+        """
+        live = self._live_pages
+        if live is not None and pfn not in live:
+            # Late write-back of a block whose page was already freed: the
+            # slot was reclaimed on free, so there is nothing to verify.
+            return 0.0
+        ctr_addr = self._ctr_base | pfn
+        stats = self.stats
+        instrumented = self._instrumented
+        if self._ctr_probe(ctr_addr, for_write):
+            stats.counter_hits += 1
+            if instrumented:
+                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
+            return self._ctr_hit_lat
+        stats.counter_misses += 1
+        if instrumented:
+            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn,
+                                **self._page_labels(pfn))
+        clock, paddrs, level, labels = self._locate(pfn, now)
+        read_meta = self._read_meta
+        clock += read_meta(ctr_addr, clock)
+        visited = 1  # the trusted terminator (cached node or root)
+        tree_probe = self._tree_probe
+        tree_fill = self._tree_fill
+        write_meta = self._write_meta
+        hash_lat = self._hash_lat
+        for addr in paddrs:
+            if tree_probe(addr, for_write):
+                break  # verified against an on-chip (trusted) copy
+            visited += 1
+            stats.tree_node_dram_reads += 1
+            if instrumented:
+                self.tracer.instant("tree", "node", ts=clock,
+                                    level=level + visited - 2, addr=addr,
+                                    **labels)
+            clock += read_meta(addr, clock) + hash_lat
+            wb = tree_fill(addr, for_write)
+            if wb is not None:
+                write_meta(wb, clock)
+        # Fig. 16: nodes visited per verification, overall and per domain.
+        stats.verifications += 1
+        stats.tree_nodes_visited += visited
+        self._h_path.record(visited)
+        rec = self.domain_path.setdefault(domain, [0, 0])
+        rec[0] += 1
+        rec[1] += visited
+        wb = self._ctr_fill(ctr_addr, for_write)
+        if wb is not None:
+            write_meta(wb, clock)
+        return clock - now
 
     # -- page / domain lifecycle (overridden by IvLeague) ---------------------------------
 
@@ -366,56 +431,19 @@ class BaselineEngine(SecureMemoryEngine):
         super().__init__(config, seed)
         self.geo = TreeGeometry(config.counter_blocks)
 
-    def _verify(self, domain: int, pfn: int, now: float,
-                for_write: bool) -> float:
-        """Counter fetch, then the leaf-to-root walk up to the first
-        cached (trusted) node.  The counter address and the tree-path
-        address list are pure functions of the PFN for every static
-        geometry (Baseline, VAULT), so they are memoized per PFN; cache
-        residency is re-probed on every call, which is why the memo
-        never needs invalidating.  Built unconditionally (even on a
-        counter hit) so subclass write paths (SGX counter tree) can
-        reuse the entry."""
-        rec = self._path_memo.get(pfn)
-        if rec is None:
-            paddrs = self.geo.path_addrs(pfn)
+    def _locate(self, pfn: int, now: float) -> tuple:
+        """The static path: a pure function of the PFN for every static
+        geometry, so it is memoized per PFN.  Cache residency is
+        re-probed on every walk, which is why the memo never needs
+        invalidating."""
+        paddrs = self._path_memo.get(pfn)
+        if paddrs is None:
+            paddrs = self._path_memo[pfn] = self._static_path(pfn)
             self.tree_cache.prime_candidates(paddrs)
-            rec = self._path_memo[pfn] = (self.geo.counter_addr(pfn),
-                                          paddrs)
-        ctr_addr = rec[0]
-        stats = self.stats
-        instrumented = self._instrumented
-        if self._ctr_probe(ctr_addr, for_write):
-            stats.counter_hits += 1
-            if instrumented:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        stats.counter_misses += 1
-        if instrumented:
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
-        read_meta = self._read_meta
-        clock = now + read_meta(ctr_addr, now)
-        visited = 1  # the trusted terminator (cached node or root)
-        tree_probe = self._tree_probe
-        tree_fill = self._tree_fill
-        write_meta = self._write_meta
-        hash_lat = self._hash_lat
-        # path_addrs excludes the on-chip root, so every address here is
-        # a real candidate fetch.
-        for addr in rec[1]:
-            if tree_probe(addr, for_write):
-                break  # verified against an on-chip (trusted) copy
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if instrumented:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=visited - 1, addr=addr)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_fill(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        self._record_path(domain, visited)
-        wb = self._ctr_fill(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+        return (now, paddrs, 1,
+                self._page_labels(pfn) if self._instrumented else None)
+
+    def _static_path(self, pfn: int) -> list[int]:
+        """Tree-node addresses above ``pfn``'s counter, leaf first,
+        on-chip root excluded."""
+        return self.geo.path_addrs(pfn)

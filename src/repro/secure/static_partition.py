@@ -17,7 +17,7 @@ the Fig. 22 success-rate analysis counts.
 from __future__ import annotations
 
 from repro.secure.bmt import TreeGeometry
-from repro.secure.engine import SecureMemoryEngine
+from repro.secure.engine import BaselineEngine
 from repro.sim.config import MachineConfig
 
 
@@ -29,8 +29,9 @@ class NoFreePartition(RuntimeError):
     """More live domains than partitions."""
 
 
-class StaticPartitionEngine(SecureMemoryEngine):
-    """Per-domain statically partitioned subtrees with on-chip roots."""
+class StaticPartitionEngine(BaselineEngine):
+    """Per-domain statically partitioned subtrees with on-chip roots:
+    the Baseline walk over an offset subtree."""
 
     name = "static-partition"
 
@@ -45,7 +46,7 @@ class StaticPartitionEngine(SecureMemoryEngine):
             raise ValueError("more partitions than pages")
         # One subtree shape shared by all partitions; node addresses are
         # offset per partition so no blocks are shared.
-        self.sub_geo = TreeGeometry(self.pages_per_partition)
+        self.geo = TreeGeometry(self.pages_per_partition)
         self._free_partitions = list(range(n_partitions - 1, -1, -1))
         self._partition_of: dict[int, int] = {}
 
@@ -61,6 +62,7 @@ class StaticPartitionEngine(SecureMemoryEngine):
         self._partition_of[domain] = self._free_partitions.pop()
 
     def on_domain_end(self, domain: int) -> None:
+        super().on_domain_end(domain)
         part = self._partition_of.pop(domain, None)
         if part is not None:
             self._free_partitions.append(part)
@@ -94,58 +96,15 @@ class StaticPartitionEngine(SecureMemoryEngine):
         return super().data_access(domain, pfn, block_in_page, is_write,
                                    now)
 
-    def _verify(self, domain: int, pfn: int, now: float,
-                for_write: bool) -> float:
-        """Walk of the partition subtree holding ``pfn``.  The partition
+    def _static_path(self, pfn: int) -> list[int]:
+        """Path in the partition subtree holding ``pfn``.  The partition
         is the chunk the page was allocated from,
-        ``pfn // pages_per_partition``, so the counter address and the
-        offset tree path are pure in the PFN and memoized by it,
+        ``pfn // pages_per_partition``, so the path is pure in the PFN
         regardless of how partitions are later reassigned across
         domains."""
-        rec = self._path_memo.get(pfn)
-        if rec is None:
-            part, local_page = divmod(pfn, self.pages_per_partition)
-            offset = (part + 1) << 40  # per-partition node address region
-            paddrs = [base + offset
-                      for base in self.sub_geo.path_addrs(local_page)]
-            self.tree_cache.prime_candidates(paddrs)
-            rec = self._path_memo[pfn] = (
-                self.sub_geo.counter_addr(pfn), paddrs)
-        ctr_addr = rec[0]
-        stats = self.stats
-        instrumented = self._instrumented
-        if self._ctr_probe(ctr_addr, for_write):
-            stats.counter_hits += 1
-            if instrumented:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        stats.counter_misses += 1
-        if instrumented:
-            part = pfn // self.pages_per_partition
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn,
-                                partition=part)
-        read_meta = self._read_meta
-        clock = now + read_meta(ctr_addr, now)
-        visited = 1
-        tree_probe = self._tree_probe
-        tree_fill = self._tree_fill
-        write_meta = self._write_meta
-        hash_lat = self._hash_lat
-        for addr in rec[1]:
-            if tree_probe(addr, for_write):
-                break  # verified against an on-chip copy (or the root)
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if instrumented:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=visited - 1, addr=addr,
-                                    partition=part)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_fill(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        self._record_path(domain, visited)
-        wb = self._ctr_fill(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+        part, local_page = divmod(pfn, self.pages_per_partition)
+        offset = (part + 1) << 40  # per-partition node address region
+        return [base + offset for base in self.geo.path_addrs(local_page)]
+
+    def _page_labels(self, pfn: int) -> dict:
+        return {"partition": pfn // self.pages_per_partition}

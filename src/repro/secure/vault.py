@@ -104,9 +104,6 @@ class VaultGeometry:
                           (1 << 44) + self._level_base[node.level - 1]
                           + node.index)
 
-    def counter_addr(self, counter_block: int) -> int:
-        return spaces.tag(spaces.COUNTER, counter_block)
-
 
 class VaultEngine(BaselineEngine):
     """Global VAULT tree: shallower walks, upper-counter overflow cost."""

@@ -79,8 +79,6 @@ LAYERS = {
     ("repro.core.pro", "data_access"): "engine",
     ("repro.secure.engine", "_verify"): "verify",
     ("repro.secure.counter_tree", "_verify"): "verify",
-    ("repro.secure.static_partition", "_verify"): "verify",
-    ("repro.core.ivleague", "_verify"): "verify",
     "repro.core.nfl": "nfl",
     "repro.core.bitvector": "nfl",
     "repro.core.lmm": "lmm",

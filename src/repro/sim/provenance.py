@@ -2,8 +2,9 @@
 
 A *manifest* records enough to re-run (or at least to attribute) any
 trace or stats dump: a stable hash of the machine configuration, the
-workload seed, the git revision the artifact was produced from, and a
-schema version so downstream tooling can detect layout changes.
+workload seed, the git revision the artifact was produced from (and
+whether tracked files differed from it), and a schema version so
+downstream tooling can detect layout changes.
 """
 
 from __future__ import annotations
@@ -30,18 +31,32 @@ def config_hash(config) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
 
-def git_sha() -> Optional[str]:
-    """Current git revision of the repo this package lives in, or None."""
+def _git(*args: str) -> Optional[str]:
+    """Output of ``git *args`` in the repo this package lives in, or
+    None when git is missing or fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and len(sha) == 40 else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha() -> Optional[str]:
+    """Current git revision of the repo this package lives in, or None."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha if len(sha) == 40 else None
+
+
+def git_dirty() -> Optional[bool]:
+    """True when a tracked file differs from the current revision, so
+    an artifact was built from code that ``git_sha`` does not name;
+    None without git."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def peak_rss_kb() -> int:
@@ -74,15 +89,8 @@ def host_facts() -> dict:
 
 
 def run_manifest(config=None, seed: Optional[int] = None,
-                 deterministic: bool = False, **extra) -> dict:
-    """Build the provenance manifest embedded in every JSON artifact.
-
-    ``deterministic=True`` drops the wall-clock ``created`` stamp and
-    the volatile ``host`` facts (peak RSS varies run to run), so two
-    identical runs produce byte-identical artifacts — required wherever
-    a manifest rides inside content that is diffed or content-hashed
-    (observable-trace exports, leakage pair payloads).
-    """
+                 **extra) -> dict:
+    """Build the provenance manifest embedded in every JSON artifact."""
     from repro import __version__
 
     manifest = {
@@ -90,12 +98,11 @@ def run_manifest(config=None, seed: Optional[int] = None,
         "tool": "repro",
         "tool_version": __version__,
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "python": platform.python_version(),
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "host": host_facts(),
     }
-    if not deterministic:
-        manifest["created"] = datetime.now(timezone.utc).isoformat(
-            timespec="seconds")
-        manifest["host"] = host_facts()
     if config is not None:
         manifest["config_hash"] = config_hash(config)
     if seed is not None:

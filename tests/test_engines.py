@@ -7,10 +7,14 @@ from repro.core.bv_engine import IvLeagueBVv1Engine, IvLeagueBVv2Engine
 from repro.core.invert import IvLeagueInvertEngine
 from repro.core.ivleague import IvLeagueBasicEngine
 from repro.core.pro import IvLeagueProEngine
+from repro.experiments.parallel import resolve_engine
 from repro.secure.engine import BaselineEngine
 from repro.secure.static_partition import (NoFreePartition,
                                            PartitionOverflow,
                                            StaticPartitionEngine)
+from repro.sim.trace import EventTracer
+
+from tests.test_golden import ALL_NINE
 
 IV_ENGINES = [IvLeagueBasicEngine, IvLeagueInvertEngine, IvLeagueProEngine]
 ALL_ENGINES = [BaselineEngine] + IV_ENGINES
@@ -65,6 +69,18 @@ class TestBaseline:
         e.data_access(2, 900, 0, False, 10.0)
         assert e.domain_path[1][0] == 1
         assert e.domain_path[2][0] == 1
+
+
+@pytest.mark.parametrize("scheme", ALL_NINE)
+def test_domain_lifecycle_is_traced(tiny, scheme):
+    engine = resolve_engine(scheme)(tiny)
+    tracer = EventTracer(limit=None)
+    engine.set_tracer(tracer)
+    engine.on_domain_start(1)
+    engine.on_domain_end(1)
+    assert [(e["cat"], e["name"], e["args"]["domain"])
+            for e in tracer.events()] == [("domain", "start", 1),
+                                          ("domain", "end", 1)]
 
 
 class TestStaticPartition:
@@ -315,7 +331,7 @@ class TestProSpecifics:
                 e.on_page_alloc(1, pfn, 0.0)
             except Exception:
                 break
-        for pfn in range(min(n, len(e.leafmap._map))):
+        for pfn in range(min(n, len(e.leafmap.slots))):
             if pfn not in e.leafmap or pfn in e._hot_pages[1]:
                 continue
             ref = e.geometry.decode_slot(e.leafmap.get(pfn))

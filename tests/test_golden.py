@@ -15,7 +15,11 @@ the same on every supported Python) against ``golden_digests.json``:
   domain's canonical observable trace plus the registry snapshot;
 * ``events`` -- the traced M-1 stream: the full event list of an
   unbounded :class:`EventTracer` (every category, churn frees included)
-  plus the registry snapshot;
+  plus the registry snapshot.  The same run checks the verify walk's
+  events against its counters (one ``tree.node`` event per node read,
+  one ``tree.counter_hit``/``counter_miss`` per probe, counted after
+  the warm-up reset) and, for IvLeague, that every node event names a
+  TreeLing of the walking domain;
 * ``oracle`` -- one :class:`DifferentialOracle` lockstep replay of M-4
   (1600 accesses per core, so dedup's churn frees pages; page
   re-encryption and VAULT's upper-counter overflow forced every 16
@@ -120,15 +124,44 @@ def traced_digest(scheme) -> str:
                    "registry": sim.registry.snapshot()})
 
 
+def _check_walk_events(engine, events, measured_from: int) -> None:
+    """The walk's events agree with its counters, which count from the
+    warm-up reset on, and an IvLeague walk stays in its own TreeLings."""
+    def walk(name, evs):
+        return [e for e in evs if e["cat"] == "tree" and e["name"] == name]
+
+    measured = events[measured_from:]
+    s = engine.stats
+    assert len(walk("node", measured)) == s.tree_node_dram_reads
+    assert len(walk("counter_miss", measured)) == s.counter_misses
+    assert len(walk("counter_hit", measured)) == s.counter_hits
+    if hasattr(engine, "pool"):
+        nodes = walk("node", events)
+        assert nodes
+        outside = [e for e in nodes if e["args"]["treeling"]
+                   not in engine.pool.treelings_of(e["args"]["domain"])]
+        assert outside == []
+
+
 def events_digest(scheme) -> str:
     cfg, engine = _build(scheme)
     tracer = EventTracer(limit=None)
     sim = Simulator(cfg, engine, seed=3, frame_policy=_frame_policy(scheme),
                     tracer=tracer)
+    # Note how many events precede the warm-up reset of the counters.
+    measured_from = []
+    reset_all = sim.registry.reset_all
+
+    def reset_and_mark():
+        measured_from.append(tracer.emitted)
+        reset_all()
+
+    sim.registry.reset_all = reset_and_mark
     sim.run(build_mix("M-1", n_accesses=1600, seed=3, scale=0.05),
             warmup=100)
-    return digest({"events": tracer.events(),
-                   "registry": sim.registry.snapshot()})
+    events = tracer.events()
+    _check_walk_events(engine, events, measured_from[0])
+    return digest({"events": events, "registry": sim.registry.snapshot()})
 
 
 def oracle_digest(scheme) -> str:

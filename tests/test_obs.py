@@ -129,12 +129,11 @@ def _flaky_worker(spec):
 
 
 class TestExecuteTasksTelemetry:
-    def test_lifecycle_events_and_metrics(self, tmp_path):
+    def test_lifecycle_events(self, tmp_path):
         path = tmp_path / "prog.jsonl"
         rep = ProgressReporter(jsonl_path=str(path), stream=io.StringIO())
-        m = Metrics()
         out = execute_tasks(["a", "bad", "c"], _flaky_worker, str,
-                            jobs=1, reporter=rep, metrics=m)
+                            jobs=1, reporter=rep)
         rep.close()
         assert out == [("ok", "a"),
                        CellFailure("boom", "deterministic failure"),
@@ -148,21 +147,14 @@ class TestExecuteTasksTelemetry:
         assert len(failed) == 1
         assert failed[0]["kind"] == "boom"
         assert failed[0]["label"] == "str"   # non-Cell spec: type name
-        counters = m.snapshot()["counters"]
-        assert counters["cells_total"] == 3
-        assert counters["cells_finished"] == 2
-        assert counters["cells_failed"] == 1
-        assert m.snapshot()["timers"]["cell_wall"]["count"] == 3
-        assert m.snapshot()["gauges"]["peak_rss_kb"] > 0
 
     def test_cached_cells_visible_in_stream(self, tmp_path):
         cache = ResultCache(tmp_path / "c", payload_types=(tuple,))
         execute_tasks(["a", "b"], _flaky_worker, str, jobs=1, cache=cache)
         path = tmp_path / "prog.jsonl"
         rep = ProgressReporter(jsonl_path=str(path), stream=io.StringIO())
-        m = Metrics()
         out = execute_tasks(["a", "b"], _flaky_worker, str, jobs=1,
-                            cache=cache, reporter=rep, metrics=m)
+                            cache=cache, reporter=rep)
         rep.close()
         assert out == [("ok", "a"), ("ok", "b")]
         events = [json.loads(ln) for ln in path.read_text().splitlines()]
@@ -171,9 +163,6 @@ class TestExecuteTasksTelemetry:
         assert kinds.count("cell_start") == 0
         end = [e for e in events if e["event"] == "sweep_end"][0]
         assert end["cache_hits"] == 2 and end["cache_hit_ratio"] == 1.0
-        counters = m.snapshot()["counters"]
-        assert counters["cells_cached"] == 2
-        assert counters["cache_hits"] == 2
 
     def test_untelemetered_path_unchanged(self):
         out = execute_tasks(["a", "bad"], _flaky_worker, str, jobs=1)
@@ -193,7 +182,7 @@ class TestRunnerFailureSummary:
                     CellFailure("treeling-starvation", "no free slots")]
         monkeypatch.setattr(
             parallel, "execute",
-            lambda specs, jobs=1, cache=None, reporter=None, metrics=None:
+            lambda specs, jobs=1, cache=None, reporter=None:
             outcomes[:len(specs)])
         results = runner.run_cells(cells)
         assert results == outcomes

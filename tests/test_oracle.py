@@ -225,16 +225,13 @@ class TestFusedReplay:
         assert calls == []
 
     def test_wrong_counter_address_is_flagged(self):
-        """A baseline whose walks fetch the next page's counter block
-        verifies every access and keeps every stat; only the probed
-        addresses give it away."""
+        """A baseline whose walks fetch the next page's counter block for
+        every even page verifies every access and keeps every stat; only
+        the probed addresses give it away."""
         from repro.workloads.mixes import build_mix
 
         oracle, engine = _attached_oracle(seed=5, checkpoint_every=100)
-        geo = engine.geo
-        for pfn in range(oracle.fsm.n_pages):
-            engine._path_memo[pfn] = (geo.counter_addr(pfn + 1),
-                                      geo.path_addrs(pfn))
+        engine._ctr_base |= 1
         rep = oracle.run(build_mix("S-2", n_accesses=400, seed=5,
                                    scale=0.05))
         assert sorted({d.kind for d in rep.disagreements}) \

@@ -409,23 +409,21 @@ class TestCellTimeout:
         assert cache.get(_sleep_key(1.0)) == out
 
     def test_telemetered_timeout_emits_cell_failed(self, tmp_path):
-        from repro.obs.metrics import Metrics
         from repro.obs.progress import ProgressReporter, read_events
         log = tmp_path / "events.jsonl"
         reporter = ProgressReporter(jsonl_path=str(log),
                                     stream=open(os.devnull, "w"))
-        m = Metrics()
         outs = parallel.execute_tasks(
             [30.0, 0.01], _sleep_worker, _sleep_key, jobs=2,
-            reporter=reporter, metrics=m, timeout=0.5)
+            reporter=reporter, timeout=0.5)
         reporter.close()
         assert outs[0].kind == "timeout" and outs[1] == "done-0.01"
         failed = [e for e in read_events(log)
                   if e["event"] == "cell_failed"]
         assert len(failed) == 1 and failed[0]["kind"] == "timeout"
-        snap = m.snapshot()
-        assert snap["counters"]["cells_failed"] == 1
-        assert snap["counters"]["cells_finished"] == 1
+        finished = [e for e in read_events(log)
+                    if e["event"] == "cell_finish"]
+        assert len(finished) == 1
 
 
 class TestWorkerCrash:

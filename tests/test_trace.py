@@ -223,11 +223,27 @@ class TestProvenance:
         assert m["tool"] == "repro"
         assert "created" in m and "python" in m
 
-    def test_deterministic_manifest_drops_volatile_fields(self):
-        m = run_manifest(config=tiny_config(2), seed=9, deterministic=True)
-        assert "created" not in m and "host" not in m
-        m2 = run_manifest(config=tiny_config(2), seed=9, deterministic=True)
-        assert m == m2
+    @pytest.mark.parametrize("status, dirty", [
+        ("", False),
+        (" M src/repro/sim/provenance.py\n", True),
+        (None, None),
+    ], ids=["clean", "dirty", "no-git"])
+    def test_manifest_marks_a_modified_tree(self, monkeypatch, status,
+                                            dirty):
+        import subprocess
+
+        from repro.sim import provenance
+
+        def fake_run(cmd, **kwargs):
+            if status is None:
+                raise FileNotFoundError("git")
+            out = "f" * 40 + "\n" if cmd[1] == "rev-parse" else status
+            return subprocess.CompletedProcess(cmd, 0, out, "")
+
+        monkeypatch.setattr(provenance.subprocess, "run", fake_run)
+        m = run_manifest(config=tiny_config(2), seed=9)
+        assert m["git_dirty"] is dirty
+        assert m["git_sha"] == (None if status is None else "f" * 40)
 
 
 class TestOverheadGuard:
