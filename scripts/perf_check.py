@@ -9,7 +9,7 @@ sweep size (``quick``/``n_cells``/``n_accesses``) — and the check fails
 when either headline metric regressed beyond the tolerance:
 
 * ``cells_per_sec_serial`` dropped below ``(1 - tolerance) * median``
-  (the interpreter-speed axis ROADMAP item 1 tracks), or
+  (the interpreter-speed axis ROADMAP item 8 tracks), or
 * ``warm_seconds_per_cell`` rose above ``(1 + tolerance) * median``
   (the caching-layer axis).
 

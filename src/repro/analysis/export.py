@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Iterable
 
 
 def rows_to_csv(rows: list[dict], path: str) -> str:
@@ -36,21 +35,3 @@ def rows_to_json(rows: list[dict], path: str) -> str:
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=2, sort_keys=True)
     return path
-
-
-def export_all(results: dict[str, list[dict]], out_dir: str,
-               formats: Iterable[str] = ("csv",)) -> list[str]:
-    """Export a {figure-id: rows} mapping; returns the written paths."""
-    written = []
-    for fig_id, rows in results.items():
-        if not rows:
-            continue
-        if "csv" in formats:
-            written.append(rows_to_csv(rows,
-                                       os.path.join(out_dir,
-                                                    f"{fig_id}.csv")))
-        if "json" in formats:
-            written.append(rows_to_json(rows,
-                                        os.path.join(out_dir,
-                                                     f"{fig_id}.json")))
-    return written

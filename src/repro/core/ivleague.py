@@ -40,7 +40,6 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         self._nflb: dict[int, NFLBuffer] = {}
         self._slot_pfn: dict[int, int] = {}
         self._parent_slots: set[int] = set()
-        self._domain_of_treeling: dict[int, int] = {}
 
     # -- tree cache with root locking ----------------------------------------------
 
@@ -98,7 +97,6 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         return None
 
     def _on_treeling_attached(self, domain: int, treeling: int) -> None:
-        self._domain_of_treeling[treeling] = domain
         if self.tracer.enabled:
             self.tracer.instant("domain", "treeling_attach",
                                 domain=domain, treeling=treeling)

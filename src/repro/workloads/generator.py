@@ -24,9 +24,13 @@ from repro.sim.config import BLOCKS_PER_PAGE
 from repro.workloads.benchmarks import BenchmarkProfile, profile
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreTrace:
-    """One core's access stream."""
+    """One core's access stream.
+
+    Frozen, and :func:`generate_trace` makes its arrays read-only, so
+    one trace can be shared by every run that replays it.
+    """
 
     benchmark: str
     footprint: int
@@ -138,35 +142,43 @@ def generate_trace(bench: BenchmarkProfile | str, n_accesses: int,
     # Geometric gaps with mean (1/mem_ratio - 1) non-memory instructions.
     gap = rng.geometric(min(1.0, bench.mem_ratio), size=n) - 1
 
+    vpage = vpage.astype(np.int64)
+    block = block.astype(np.int64)
+    gap = gap.astype(np.int64)
+    for a in (vpage, block, is_write, gap):
+        a.flags.writeable = False
     return CoreTrace(
         benchmark=bench.name,
         footprint=fp,
-        vpage=vpage.astype(np.int64),
-        block=block.astype(np.int64),
+        vpage=vpage,
+        block=block,
         is_write=is_write,
-        gap=gap.astype(np.int64),
+        gap=gap,
         churn_every=bench.churn_every,
         churn_pages=bench.churn_pages,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     """A multiprogrammed mix: one trace per core.
 
     ``domains`` optionally maps each core to an IV-domain id; cores
     sharing an id model threads of one process (the paper groups threads
     into a single IV domain, Section IX).  Default: one domain per core.
+    Both sequences are stored as tuples, so a spec is immutable.
     """
 
     name: str
-    traces: list[CoreTrace]
-    domains: list[int] | None = None
+    traces: tuple[CoreTrace, ...]
+    domains: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.domains is not None \
-                and len(self.domains) != len(self.traces):
-            raise ValueError("domains must map every trace")
+        object.__setattr__(self, "traces", tuple(self.traces))
+        if self.domains is not None:
+            object.__setattr__(self, "domains", tuple(self.domains))
+            if len(self.domains) != len(self.traces):
+                raise ValueError("domains must map every trace")
 
     def domain_of(self, core: int) -> int:
         if self.domains is None:

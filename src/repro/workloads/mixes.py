@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.workloads.benchmarks import profile
 from repro.workloads.generator import WorkloadSpec, build_workload
 
@@ -44,8 +46,23 @@ def mix_footprint_pages(mix: str) -> int:
 
 def build_mix(mix: str, n_accesses: int, seed: int = 0,
               scale: float = 1.0) -> WorkloadSpec:
-    """Build the named Table II mix as a runnable workload."""
+    """Build the named Table II mix as a runnable workload.
+
+    A workload is a pure function of these four arguments and is
+    immutable, so repeat calls in one process return one shared build.
+    """
     if mix not in MIXES:
         raise KeyError(f"unknown mix {mix!r}; known: {ALL}")
+    return _shared_build(mix, n_accesses, seed, scale)
+
+
+# Two entries.  ``run_all`` submits its cells mix-major, which one entry
+# serves; perfbench repeats L-1 then L-2 every pass and the ablation
+# grids cycle over two mixes, which need the second.  A miss builds
+# exactly what a hit returns, so no result depends on the cache; the
+# bound only caps what it holds.
+@lru_cache(maxsize=2)
+def _shared_build(mix: str, n_accesses: int, seed: int,
+                  scale: float) -> WorkloadSpec:
     return build_workload(mix, MIXES[mix], n_accesses,
                           seed=seed + ALL.index(mix), scale=scale)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.export import export_all, rows_to_csv, rows_to_json
+from repro.analysis.export import rows_to_csv, rows_to_json
 
 ROWS = [{"mix": "S-1", "baseline": 1.0, "pro": 1.1},
         {"mix": "L-1", "baseline": 1.0, "pro": 1.17, "extra": "x"}]
@@ -27,8 +27,3 @@ class TestExport:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             rows_to_csv([], str(tmp_path / "f.csv"))
-
-    def test_export_all(self, tmp_path):
-        paths = export_all({"fig15": ROWS, "empty": []},
-                           str(tmp_path), formats=("csv", "json"))
-        assert len(paths) == 2

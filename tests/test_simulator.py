@@ -132,7 +132,7 @@ class TestThreadGroups:
         from repro.workloads.generator import threaded_workload
         wl = threaded_workload("tw", ["gcc", "x264"], 800,
                                threads_per_process=2, scale=0.03, seed=3)
-        assert wl.domains == [1, 1, 2, 2]
+        assert wl.domains == (1, 1, 2, 2)
         engine = IvLeagueProEngine(tiny4)
         Simulator(tiny4, engine).run(wl)
         # exactly two domains exist, each owning disjoint TreeLings

@@ -1,9 +1,12 @@
 """Tests for benchmark profiles, trace generation and workload mixes."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from repro.sim.config import BLOCKS_PER_PAGE
+from repro.workloads import mixes
 from repro.workloads.benchmarks import PROFILES, profile
 from repro.workloads.generator import (CHUNK_PAGES, build_workload,
                                        chunked_layout, generate_trace,
@@ -140,3 +143,70 @@ class TestMixes:
         full = build_mix("M-1", 100)
         small = build_workload("M-1", MIXES["M-1"], 100, scale=0.1)
         assert small.total_footprint < full.total_footprint
+
+
+class TestSharedBuild:
+    """``build_mix`` shares one build per (mix, n_accesses, seed, scale)
+    in a process."""
+
+    ARGS = ("S-1", 120, 3, 0.05)
+    ARRAYS = ("vpage", "block", "is_write", "gap")
+
+    def test_cached_equals_fresh_build(self):
+        mix, n, seed, scale = self.ARGS
+        build_mix(*self.ARGS)
+        cached = build_mix(*self.ARGS)
+        fresh = build_workload(mix, MIXES[mix], n,
+                               seed=seed + ALL.index(mix), scale=scale)
+        assert (cached.name, cached.domains) == (fresh.name, fresh.domains)
+        assert len(cached.traces) == len(fresh.traces)
+        for a, b in zip(cached.traces, fresh.traces):
+            assert (a.benchmark, a.footprint, a.churn_every, a.churn_pages) \
+                == (b.benchmark, b.footprint, b.churn_every, b.churn_pages)
+            for name in self.ARRAYS:
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y)
+
+    def test_repeat_call_returns_the_cached_traces(self):
+        first = build_mix(*self.ARGS)
+        again = build_mix("S-1", n_accesses=120, seed=3, scale=0.05)
+        assert again is first
+        assert again.traces[0].vpage is first.traces[0].vpage
+
+    @pytest.mark.parametrize("changed", [
+        ("S-2", 120, 3, 0.05), ("S-1", 121, 3, 0.05),
+        ("S-1", 120, 4, 0.05), ("S-1", 120, 3, 0.06)],
+        ids=["mix", "n_accesses", "seed", "scale"])
+    def test_changed_argument_builds_anew(self, changed):
+        first = build_mix(*self.ARGS)
+        other = build_mix(*changed)
+        assert not any(a is b for a in first.traces for b in other.traces)
+
+    def test_bound_holds(self):
+        first = build_mix("S-1", 100, seed=1, scale=0.05)
+        build_mix("S-2", 100, seed=1, scale=0.05)
+        last = build_mix("S-3", 100, seed=1, scale=0.05)
+        info = mixes._shared_build.cache_info()
+        assert (info.maxsize, info.currsize) == (2, 2)
+        assert build_mix("S-3", 100, seed=1, scale=0.05) is last
+        assert build_mix("S-1", 100, seed=1, scale=0.05) is not first
+
+    def test_shared_workload_is_read_only(self):
+        wl = build_mix(*self.ARGS)
+        trace = wl.traces[0]
+        for name in self.ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(trace, name)[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            trace.vpage = trace.vpage.copy()
+        with pytest.raises(FrozenInstanceError):
+            wl.traces = ()
+        with pytest.raises(FrozenInstanceError):
+            wl.domains = (1, 2, 3, 4)
+        assert isinstance(wl.traces, tuple)
+
+    def test_unknown_mix_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(KeyError):
+                build_mix("Z-9", 100)
