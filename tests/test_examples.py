@@ -14,10 +14,10 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = EXAMPLES.parent / "src"
 
-#: About 3.5 s together.
+#: A few seconds together, so they run by default.
 FAST = ("custom_benchmark.py", "hotpage_study.py", "multidomain_scaling.py",
         "tamper_detection.py")
-#: About 5.5 and 11 s: run with ``-m slow``.
+#: Several times longer each: run with ``-m slow``.
 SLOW = ("quickstart.py", "attack_demo.py")
 
 

@@ -136,8 +136,9 @@ class TestMixes:
         assert [t.benchmark for t in wl.traces] == MIXES["S-1"]
 
     def test_build_mix_unknown(self):
-        with pytest.raises(KeyError):
-            build_mix("Z-9", 100)
+        for _ in range(2):   # a failed build is never cached
+            with pytest.raises(KeyError):
+                build_mix("Z-9", 100)
 
     def test_scale_shrinks_footprints(self):
         full = build_mix("M-1", 100)
@@ -155,7 +156,7 @@ class TestSharedBuild:
     def test_cached_equals_fresh_build(self):
         mix, n, seed, scale = self.ARGS
         build_mix(*self.ARGS)
-        cached = build_mix(*self.ARGS)
+        cached = build_mix(*self.ARGS)   # answered from the cache
         fresh = build_workload(mix, MIXES[mix], n,
                                seed=seed + ALL.index(mix), scale=scale)
         assert (cached.name, cached.domains) == (fresh.name, fresh.domains)
@@ -202,11 +203,4 @@ class TestSharedBuild:
             trace.vpage = trace.vpage.copy()
         with pytest.raises(FrozenInstanceError):
             wl.traces = ()
-        with pytest.raises(FrozenInstanceError):
-            wl.domains = (1, 2, 3, 4)
         assert isinstance(wl.traces, tuple)
-
-    def test_unknown_mix_raises_on_every_call(self):
-        for _ in range(3):
-            with pytest.raises(KeyError):
-                build_mix("Z-9", 100)
