@@ -14,9 +14,8 @@ Run:  python examples/attack_demo.py [n_bits]
 import sys
 
 from repro import ENGINES
-from repro.attacks.channel import recover_exponent, signal_to_noise
-from repro.attacks.metaleak import MetaLeakAttack, attack_config
-from repro.attacks.rsa_victim import RsaVictim
+from repro.obs.leakage import (key_bits, probe_latencies, recovery_accuracy,
+                               signal_to_noise)
 
 
 def sparkline(values, lo=None, hi=None) -> str:
@@ -29,22 +28,19 @@ def sparkline(values, lo=None, hi=None) -> str:
 
 def main() -> None:
     n_bits = int(sys.argv[1]) if len(sys.argv) > 1 else 128
-    victim = RsaVictim.random(n_bits=n_bits, seed=2024)
+    key = key_bits(n_bits, seed=2024)
     print(f"victim: {n_bits}-bit secret exponent, "
           f"square-and-multiply page accesses\n")
 
-    for scheme, engine_cls in ENGINES.items():
-        engine = engine_cls(attack_config(), seed=11)
-        attack = MetaLeakAttack(engine, seed=9)
-        trace = attack.run(victim)
-        result = recover_exponent(trace)
-        snr = signal_to_noise(trace)
+    for scheme in ENGINES:
+        latency = probe_latencies(scheme, key, seed=9)
+        accuracy = recovery_accuracy(latency, key)
+        snr = signal_to_noise(latency, key)
         print(f"== {scheme}")
         window = slice(1, 65)
-        print(f"   probe latency: {sparkline(trace.mul_latency[window])}")
-        print(f"   secret bits  : "
-              f"{''.join(str(b) for b in trace.truth[window])}")
-        print(f"   recovered {result.accuracy:6.1%} of the exponent, "
+        print(f"   probe latency: {sparkline(latency[window])}")
+        print(f"   secret bits  : {''.join(str(b) for b in key[window])}")
+        print(f"   recovered {accuracy:6.1%} of the exponent, "
               f"SNR {snr:.2f}\n")
 
     print("Baseline: shared tree nodes modulate the probe -> key leaks.")

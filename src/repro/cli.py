@@ -235,9 +235,7 @@ def _cmd_check_leakage(args) -> int:
                                    build_report, contract_of,
                                    default_pair_specs, leakage_matrix,
                                    mutation_matrix, mutation_pair_specs,
-                                   pair_cache, record_leakage_metrics,
-                                   run_pairs)
-    from repro.obs.metrics import Metrics
+                                   pair_cache, run_pairs)
     from repro.sim.provenance import run_manifest
 
     if args.schemes == "default":
@@ -294,15 +292,11 @@ def _cmd_check_leakage(args) -> int:
             print("  (no exact-contract scheme selected -- nothing to "
                   "mutate)")
 
-    metrics = Metrics()
-    record_leakage_metrics(metrics, results)
-
     if args.report:
         manifest = run_manifest(seed=args.seed, schemes=list(schemes),
                                 mixes=list(mixes), rounds=rounds,
                                 pairs=args.pairs)
         payload = build_report(results, mutated, manifest=manifest)
-        payload["metrics"] = metrics.snapshot()
         parent = os.path.dirname(os.path.abspath(args.report))
         os.makedirs(parent, exist_ok=True)
         with open(args.report, "w") as f:

@@ -12,22 +12,16 @@ Two take-aways the paper argues in §II/§XI, made measurable:
 
 from __future__ import annotations
 
-from repro import ENGINES, EXTRA_ENGINES
-from repro.attacks.channel import recover_exponent
-from repro.attacks.metaleak import MetaLeakAttack, attack_config
-from repro.attacks.rsa_victim import RsaVictim
-from repro.experiments import runner
+from repro.experiments import fig03_attack, runner
 from repro.experiments.common import format_table, get_scale, print_header
 from repro.experiments.parallel import scale_cell
 
-COMPARATORS = {
-    "baseline": ENGINES["baseline"],
-    "sgx-counter-tree": EXTRA_ENGINES["sgx-counter-tree"],
-    "vault": EXTRA_ENGINES["vault"],
-    "ivleague-pro": ENGINES["ivleague-pro"],
-}
+COMPARATORS = ("baseline", "sgx-counter-tree", "vault", "ivleague-pro")
 
 DEFAULT_MIXES = ["S-2", "M-1"]
+
+#: Key and harness seed of the attack column.
+ATTACK_SEED = 17
 
 
 def compute(scale="quick", mixes=None, attack_bits: int = 64
@@ -35,13 +29,13 @@ def compute(scale="quick", mixes=None, attack_bits: int = 64
     sc = get_scale(scale)
     mixes = list(mixes or DEFAULT_MIXES)
     # Timing cells for every comparator in one batch; the MetaLeak
-    # attack below is trace-level (no Simulator) and stays in-process.
+    # attack below is engine-level (no Simulator) and stays in-process.
     cells = [scale_cell(mix, name, sc)
              for name in COMPARATORS for mix in mixes]
     outcomes = runner.run_cells(cells)
     by_cell = {(c.scheme, c.mix): o for c, o in zip(cells, outcomes)}
     rows = []
-    for name, cls in COMPARATORS.items():
+    for name in COMPARATORS:
         row = {"scheme": name}
         ipcs, paths = [], []
         for mix in mixes:
@@ -51,10 +45,8 @@ def compute(scale="quick", mixes=None, attack_bits: int = 64
         row["weighted_ipc"] = sum(ipcs) / len(ipcs)
         row["avg_path"] = sum(paths) / len(paths)
         # the attack column: does MetaLeak recover the exponent?
-        victim = RsaVictim.random(n_bits=attack_bits, seed=17)
-        attack_engine = cls(attack_config(), seed=11)
-        trace = MetaLeakAttack(attack_engine, seed=17).run(victim)
-        row["attack_accuracy"] = recover_exponent(trace).accuracy
+        row["attack_accuracy"] = fig03_attack.run_attack(
+            name, n_bits=attack_bits, seed=ATTACK_SEED)["accuracy"]
         rows.append(row)
     return rows
 

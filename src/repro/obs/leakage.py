@@ -13,7 +13,7 @@ checked on **paired-secret experiments**:
 * run the same configuration twice, identical in everything except one
   victim domain's secret bit-string (an RSA-style square-and-multiply
   access pattern: ``sqr`` every round, ``mul`` only when the round's
-  key bit is 1 -- the MetaLeak victim of ``attacks/metaleak.py``);
+  key bit is 1 -- the MetaLeak victim of Section IV);
 * co-resident observer domains execute *fixed* schedules at fixed
   harness-assigned cycles (an open-loop probe pair on tree-sharing
   pages, plus a mix-trace replayer), so any difference in their
@@ -53,6 +53,14 @@ Pairs are deterministic functions of their :class:`PairSpec` and ride
 the PR-3 parallel machinery: :func:`run_pairs` fans specs out over a
 process pool through a persistent
 :class:`~repro.experiments.parallel.ResultCache`.
+
+Fig. 3's Evict+Reload attack (:func:`probe_latencies`) runs the same
+placement, victim step and round loop in one half, untraced, on
+:func:`attack_config`'s small randomized metadata caches.  Only the
+prime differs: instead of the contracts' idealised flush, observer A
+streams an eviction buffer before the victim step and scrambles DRAM
+rows before its probes.  :func:`recovery_accuracy` and
+:func:`signal_to_noise` decode observer A's ``mul``-probe latencies.
 """
 
 from __future__ import annotations
@@ -67,8 +75,9 @@ import numpy as np
 from repro.mem.spaces import SPACE_SHIFT
 from repro.obs.observables import (ObservableTrace, first_divergence,
                                    project_events)
-from repro.sim.config import CacheConfig, MachineConfig, tiny_config
-from repro.sim.trace import EventTracer
+from repro.sim.config import (TREE_ARITY, CacheConfig, MachineConfig,
+                              scaled_config, tiny_config)
+from repro.sim.trace import EventTracer, NullTracer
 
 # ---------------------------------------------------------------------------
 # The cast, the contracts, the mutations
@@ -150,6 +159,21 @@ def leakage_config(mirage: bool = False) -> MachineConfig:
         tree_cache=meta,
         mac_cache=CacheConfig(32 * 1024, 8, hit_latency=8,
                               randomized=mirage),
+    )
+
+
+def attack_config() -> MachineConfig:
+    """Fig. 3's machine: the scaled machine with small metadata caches,
+    so the attacker's occupancy-based eviction pass (the only option --
+    there is no flush instruction for metadata, and MIRAGE forbids
+    targeted eviction sets) stays short."""
+    cfg = scaled_config(n_cores=2)
+    return cfg.with_secure(
+        counter_cache=CacheConfig(8 * 1024, 8, hit_latency=8,
+                                  randomized=True),
+        tree_cache=CacheConfig(8 * 1024, 8, hit_latency=8,
+                               randomized=True),
+        mac_cache=CacheConfig(2 * 1024, 4, hit_latency=8),
     )
 
 
@@ -354,10 +378,11 @@ def _build_engine(base_scheme: str, config: MachineConfig,
 # The paired-secret harness (engine-level, open-loop, round-based)
 # ---------------------------------------------------------------------------
 
-#: Cycles between round starts / between scheduled accesses.  Rounds are
-#: spaced far apart so posted DRAM traffic from one phase cannot spill
-#: into the next; all times are harness-assigned (open loop), so no
-#: domain's issue time depends on another domain's latency.
+#: Cycles from one round's victim step to the next round's prime /
+#: between scheduled accesses / between phases.  Rounds are spaced far
+#: apart so posted DRAM traffic from one phase cannot spill into the
+#: next; all times are harness-assigned (open loop), so no domain's
+#: issue time depends on another domain's latency.
 _ROUND_CYCLES = 200_000.0
 _SLOT_CYCLES = 500.0
 _PHASE_CYCLES = 10_000.0
@@ -418,6 +443,12 @@ def secret_bits(seed: int, rounds: int) -> tuple[tuple, tuple]:
     return (tuple(int(b) for b in h0), tuple(int(b) for b in h1))
 
 
+def key_bits(n_bits: int, seed: int) -> tuple:
+    """Fig. 3's victim key: ``n_bits`` uniform bits drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return tuple(int(b) for b in rng.integers(0, 2, n_bits))
+
+
 def _mix_schedule(spec: PairSpec, pages: tuple) -> list[list[tuple]]:
     """Observer B's per-round accesses, derived from the named mix's
     deterministic trace and folded onto B's own pages -- this is what
@@ -442,39 +473,115 @@ def _mix_schedule(spec: PairSpec, pages: tuple) -> list[list[tuple]]:
     return schedule
 
 
-def _run_half(spec: PairSpec, config: MachineConfig, base_scheme: str,
-              bits: Sequence[int]) -> tuple[list, list]:
-    """One half: returns ``(events, round_boundaries)`` where
+class _Flush:
+    """The contracts' prime, idealised: metadata caches start every
+    round empty, so observer lookups read out exactly what the victim
+    warmed this round.  DRAM row state is left as it is: the contracts
+    strip it from the observables (see the scope note above)."""
+
+    pages = ()
+
+    def __init__(self, engine, seed: int) -> None:
+        self._caches = (engine.counter_cache, engine.tree_cache,
+                        engine.mac_cache)
+
+    def before_victim(self, now: float) -> float:
+        """Prime; returns the victim step's start cycle."""
+        for cache in self._caches:
+            cache.flush()
+        return now
+
+    def before_probes(self, now: float) -> float:
+        """Returns the probes' start cycle."""
+        return now
+
+
+class _Evict:
+    """Fig. 3's prime.  Observer A has no flush instruction for metadata
+    (and MIRAGE forbids targeted eviction sets), so it streams a private
+    buffer through the metadata caches: 1.5 leaf nodes' worth of pages
+    per tree-cache block, which is 1,536 pages under 8-ary leaves and
+    3,072 under VAULT's 16-ary ones.  The buffer sits above observer B's
+    pages.  Before the probes it touches 24 of 64 scattered pages, drawn
+    afresh each round, to randomise DRAM row-buffer state: row-buffer
+    hits are a different, known channel outside the paper's scope, and
+    without the scramble they alone leak the key under IvLeague-Invert
+    and -Pro."""
+
+    def __init__(self, engine, seed: int) -> None:
+        geo = getattr(engine, "geo", None)   # IvLeague: 8-ary TreeLings
+        per_leaf = (geo.n_counter_blocks // geo.level_sizes[0]
+                    if geo is not None else TREE_ARITY)
+        n = 3 * engine.config.secure.tree_cache.n_blocks * per_leaf // 2
+        base = 128 * _GROUP   # clear of observer B's groups 100-107
+        self.buffer = tuple(range(base, base + n))
+        rows = base + n + _GROUP
+        self.rows = tuple(rows + 97 * i for i in range(64))
+        self.pages = self.buffer + self.rows
+        self._access = engine.data_access
+        self._rng = np.random.default_rng(seed)
+
+    def before_victim(self, now: float) -> float:
+        for pfn in self.buffer:
+            self._access(OBSERVER_A, pfn, 0, False, now)
+            now += _SLOT_CYCLES
+        return now + _PHASE_CYCLES
+
+    def before_probes(self, now: float) -> float:
+        for i in self._rng.choice(len(self.rows), size=24, replace=False):
+            self._access(OBSERVER_A, self.rows[int(i)], 0, False, now)
+            now += _SLOT_CYCLES
+        return now + _PHASE_CYCLES
+
+
+class _Untraced(NullTracer):
+    """Fig. 3 reads probe latencies only: the engine keeps its untraced
+    hooks and the half records no events."""
+
+    emitted = 0
+
+    def events(self) -> list:
+        return []
+
+
+def _run_half(spec: PairSpec, config: MachineConfig, bits: Sequence[int],
+              prime=_Flush, traced: bool = True) -> tuple[list, list, list]:
+    """One half: returns ``(events, round_boundaries, mul_latency)``.
     ``round_boundaries[r]`` is the event index at which round ``r``
-    begins (len rounds+1)."""
-    engine = _build_engine(base_scheme, config, spec.mutation)
-    tracer = (_UntaggedTracer(limit=None)
-              if spec.mutation == "disabled-domain-tags"
-              else EventTracer(limit=None))
+    begins (len rounds+1) and ``mul_latency[r]`` observer A's
+    ``mul``-probe latency in round ``r``.  ``prime`` is the class of
+    observer A's prime, :class:`_Flush` or :class:`_Evict`."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("key bits must be 0/1")
+    engine = _build_engine(split_scheme(spec.scheme)[0], config,
+                           spec.mutation)
+    if not traced:
+        tracer = _Untraced()
+    elif spec.mutation == "disabled-domain-tags":
+        tracer = _UntaggedTracer(limit=None)
+    else:
+        tracer = EventTracer(limit=None)
     engine.set_tracer(tracer)
     for d in (VICTIM,) + OBSERVERS:
         engine.on_domain_start(d)
     placement = _place_pages(engine)
     schedule = _mix_schedule(spec, placement.b_pages)
+    steps = prime(engine, spec.seed)
 
     now = 0.0
     for d in (VICTIM,) + OBSERVERS:
         tracer.cur_domain = d
-        for pfn in placement.pages_of(d):
+        extra = steps.pages if d == OBSERVER_A else ()
+        for pfn in placement.pages_of(d) + extra:
             now += 1_000.0
             engine.on_page_alloc(d, pfn, now)
-    setup_end = now + _PHASE_CYCLES
 
-    boundaries = []
+    boundaries, mul_latency = [], []
+    t = now + _PHASE_CYCLES
     for r, bit in enumerate(bits):
         boundaries.append(tracer.emitted)
-        # The attacker's prime step, idealised: metadata caches start
-        # every round empty, so observer lookups read out exactly what
-        # the victim warmed this round.
-        for cache in (engine.counter_cache, engine.tree_cache,
-                      engine.mac_cache):
-            cache.flush()
-        t0 = setup_end + r * _ROUND_CYCLES
+        tracer.cur_domain = OBSERVER_A
+        t0 = steps.before_victim(t)
         # victim: sqr always, mul iff the round's key bit is 1
         tracer.cur_domain = VICTIM
         engine.data_access(VICTIM, placement.v_sqr, 3, False, t0)
@@ -483,18 +590,84 @@ def _run_half(spec: PairSpec, config: MachineConfig, base_scheme: str,
                                t0 + _SLOT_CYCLES)
         # observer A: fixed probe pair at fixed cycles
         tracer.cur_domain = OBSERVER_A
-        t_a = t0 + _PHASE_CYCLES
+        t_a = steps.before_probes(t0 + _PHASE_CYCLES)
         engine.data_access(OBSERVER_A, placement.a_sqr, 3, False, t_a)
-        engine.data_access(OBSERVER_A, placement.a_mul, 5, False,
-                           t_a + _SLOT_CYCLES)
+        mul_latency.append(engine.data_access(
+            OBSERVER_A, placement.a_mul, 5, False, t_a + _SLOT_CYCLES))
         # observer B: fixed mix-derived schedule over its own pages
         tracer.cur_domain = OBSERVER_B
-        t_b = t0 + 2 * _PHASE_CYCLES
+        t_b = t_a + _PHASE_CYCLES
         for j, (pfn, block, is_write) in enumerate(schedule[r]):
             engine.data_access(OBSERVER_B, pfn, block, is_write,
                                t_b + j * _SLOT_CYCLES)
+        t = t0 + _ROUND_CYCLES
     boundaries.append(tracer.emitted)
-    return tracer.events(), boundaries
+    return tracer.events(), boundaries, mul_latency
+
+
+def probe_latencies(scheme: str, bits: Sequence[int],
+                    seed: int = 0) -> list[float]:
+    """Fig. 3's Evict+Reload attack on ``scheme``: one untraced half on
+    :func:`attack_config` whose victim runs the key ``bits`` and whose
+    observer A primes by eviction (``seed`` draws its row scrambles and
+    observer B's mix).  Returns the ``mul``-probe latency of each
+    round."""
+    spec = PairSpec(scheme=scheme, rounds=len(bits), seed=seed)
+    return _run_half(spec, attack_config(), bits, _Evict, traced=False)[2]
+
+
+def _two_means_threshold(latencies: np.ndarray) -> float:
+    """Threshold between the fast (shared-node hit) and slow modes.
+
+    Two-means split (1-D k-means with k=2), robust to unequal cluster
+    sizes -- the victim's bit distribution is unknown to the attacker.
+    Percentile anchors make the split robust to warm-up outliers (e.g.
+    the very first, fully-cold probe).
+    """
+    lo, hi = np.percentile(latencies, [10, 90])
+    lo, hi = float(lo), float(hi)
+    if lo == hi:
+        return lo
+    t = (lo + hi) / 2.0
+    for _ in range(32):
+        below = latencies[latencies <= t]
+        above = latencies[latencies > t]
+        if len(below) == 0 or len(above) == 0:
+            break
+        nt = (below.mean() + above.mean()) / 2.0
+        if abs(nt - t) < 1e-9:
+            break
+        t = nt
+    return float(t)
+
+
+def recovery_accuracy(mul_latency: Sequence[float],
+                      bits: Sequence[int]) -> float:
+    """Share of the key ``bits`` read back from the ``mul``-probe
+    latencies: a fast probe means the victim multiplied (bit 1).  With a
+    spread below one DRAM access there is no usable modulation, and the
+    attacker can only guess one constant bit value."""
+    mul = np.asarray(mul_latency, dtype=np.float64)
+    spread = float(np.percentile(mul, 90) - np.percentile(mul, 10))
+    if spread < 30.0:
+        guesses = np.zeros(len(mul), dtype=np.int64)
+    else:
+        guesses = (mul <= _two_means_threshold(mul)).astype(np.int64)
+    return float(np.mean(guesses == np.asarray(bits)))
+
+
+def signal_to_noise(mul_latency: Sequence[float],
+                    bits: Sequence[int]) -> float:
+    """|mean(bit=1) - mean(bit=0)| / pooled std of the mul-probe latency."""
+    mul = np.asarray(mul_latency, dtype=np.float64)
+    truth = np.asarray(bits, dtype=bool)
+    if truth.all() or (~truth).all():
+        return 0.0
+    a, b = mul[truth], mul[~truth]
+    pooled = np.sqrt((a.var() + b.var()) / 2.0)
+    if pooled == 0:
+        return float("inf") if abs(a.mean() - b.mean()) > 0 else 0.0
+    return float(abs(a.mean() - b.mean()) / pooled)
 
 
 #: Observable event classes fed to the per-round statistical features.
@@ -526,7 +699,7 @@ def _round_features(events: list, boundaries: list,
 
 def run_pair(spec: PairSpec) -> PairResult:
     """Execute one paired-secret experiment and check its contract."""
-    base_scheme, mirage = split_scheme(spec.scheme)
+    _, mirage = split_scheme(spec.scheme)
     result = PairResult(scheme=spec.scheme, mix=spec.mix, seed=spec.seed,
                         rounds=spec.rounds, mutation=spec.mutation,
                         contract=contract_of(spec.scheme))
@@ -535,12 +708,12 @@ def run_pair(spec: PairSpec) -> PairResult:
     halves = []
     try:
         for bits in (bits0, bits1):
-            halves.append(_run_half(spec, config, base_scheme, bits))
+            halves.append(_run_half(spec, config, bits))
     except Exception as exc:  # deterministic domain-model failure
         result.failure = f"{type(exc).__name__}: {exc}"
         return result
 
-    (ev0, b0), (ev1, b1) = halves
+    (ev0, b0, _), (ev1, b1, _) = halves
     traces0, problems0 = project_events(ev0)
     traces1, problems1 = project_events(ev1)
     problems = problems0 + problems1
@@ -661,21 +834,6 @@ def mutation_matrix(results: Sequence[PairResult]) -> dict:
         detected[f"{res.scheme}/{res.mutation}"] = not res.ok
     ok = bool(detected) and all(detected.values())
     return {"ok": ok, "detected": detected}
-
-
-def record_leakage_metrics(metrics, results: Sequence[PairResult]) -> None:
-    """Publish ``leakage{scheme=...,observable=...}`` gauges (max MI in
-    bits per observable class) and per-scheme divergence counters."""
-    for res in results:
-        if res.mutation:
-            continue
-        for key, mi in res.mi_bits.items():
-            _, cls = key.split("/", 1)
-            metrics.gauge("leakage", scheme=res.scheme,
-                          observable=cls).set_max(mi)
-        metrics.counter("leakage_divergences", scheme=res.scheme).inc(
-            len(res.divergent_domains))
-        metrics.counter("leakage_pairs", scheme=res.scheme).inc()
 
 
 def build_report(clean: Sequence[PairResult],

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.attacks.channel import recover_exponent
-from repro.attacks.metaleak import MetaLeakAttack, attack_config
-from repro.attacks.rsa_victim import RsaVictim
+from repro.obs.leakage import key_bits, probe_latencies, recovery_accuracy
 from repro.secure.counter_tree import (CounterTree, CounterTreeTamper,
                                        SgxCounterTreeEngine)
 
@@ -93,7 +91,6 @@ class TestSgxEngine:
     def test_attack_still_works_against_counter_tree(self):
         """The paper's real-SGX demo target: a global counter tree is
         exactly as leaky as a global hash tree."""
-        engine = SgxCounterTreeEngine(attack_config(), seed=11)
-        victim = RsaVictim.random(n_bits=64, seed=13)
-        trace = MetaLeakAttack(engine, seed=13).run(victim)
-        assert recover_exponent(trace).accuracy > 0.85
+        key = key_bits(64, seed=13)
+        latency = probe_latencies("sgx-counter-tree", key, seed=13)
+        assert recovery_accuracy(latency, key) > 0.85

@@ -1,7 +1,7 @@
-"""Tests for the harness-observability layer: labeled metrics
-(snapshot/merge), the sweep progress reporter and
-its JSONL event schema, telemetry through ``execute_tasks`` including
-failure visibility, and the runner's end-of-sweep failure summary."""
+"""Tests for the harness-observability layer: the sweep progress
+reporter and its JSONL event schema, telemetry through ``execute_tasks``
+including failure visibility, and the runner's end-of-sweep failure
+summary."""
 
 import io
 import json
@@ -10,55 +10,7 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.parallel import CellFailure, ResultCache, execute_tasks
-from repro.obs.metrics import Metrics, series_key
 from repro.obs.progress import PROGRESS_ENV, ProgressReporter, make_reporter
-
-
-class TestSeriesKey:
-    def test_bare_name(self):
-        assert series_key("cells", {}) == "cells"
-
-    def test_labels_sorted_into_identity(self):
-        assert series_key("cells", {"scheme": "pro", "mix": "S-1"}) \
-            == "cells{mix=S-1,scheme=pro}"
-
-
-class TestMetrics:
-    def test_instruments_are_memoized_per_series(self):
-        m = Metrics()
-        assert m.counter("a") is m.counter("a")
-        assert m.counter("a", mix="S-1") is not m.counter("a", mix="S-2")
-        assert m.gauge("g") is m.gauge("g")
-        assert m.timer("t") is m.timer("t")
-
-    def test_counter_gauge_timer_mechanics(self):
-        m = Metrics()
-        m.counter("c").inc()
-        m.counter("c").inc(4)
-        m.gauge("g").set_max(3.0)
-        m.gauge("g").set_max(2.0)   # lower: ignored
-        assert m.gauge("g").value == 3.0
-        m.gauge("g").set_max(9.0)
-        m.timer("t").observe(1.5)
-        m.timer("t").observe(0.5)
-        snap = m.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 9.0
-        assert snap["timers"]["t"] == {"total_s": 2.0, "count": 2}
-
-    def test_merge_adds_counters_and_timers_maxes_gauges(self):
-        parent, worker = Metrics(), Metrics()
-        parent.counter("cells").inc(2)
-        parent.gauge("rss").set_max(100)
-        parent.timer("wall").observe(1.0)
-        worker.counter("cells").inc(3)
-        worker.gauge("rss").set_max(70)
-        worker.timer("wall").observe(0.5)
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"]["cells"] == 5
-        assert snap["gauges"]["rss"] == 100    # max, not sum
-        assert snap["timers"]["wall"] == {"total_s": 1.5, "count": 2}
 
 
 class TestMakeReporter:
