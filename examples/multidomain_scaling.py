@@ -67,7 +67,10 @@ def main() -> None:
               f"{used} TreeLing(s)")
 
     print(f"\n   pool after setup: {iv.pool.unassigned_count} unassigned")
-    # destroy the big domain: its TreeLings return to the pool
+    # destroy the big domain: the OS frees its pages, then its TreeLings
+    # return to the pool
+    for pfn in plans[-1]:
+        iv.on_page_free(8, pfn, 0.0)
     iv.on_domain_end(8)
     print(f"   big domain exits: {iv.pool.unassigned_count} unassigned")
     # a new large domain can now be admitted

@@ -66,9 +66,8 @@ def hotpage_tracker_bytes(config: MachineConfig) -> int:
 def locked_root_bytes(config: MachineConfig) -> int:
     """IV-metadata-cache ways reserved for TreeLing roots (not *extra*
     storage -- carved out of the existing cache, reported for context)."""
-    from repro.core.treeling import TreeLingGeometry
-    geo = TreeLingGeometry(config.ivleague.treeling_height)
-    return geo.locked_blocks_above_roots(config.ivleague.n_treelings) * 64
+    from repro.secure.bmt import TreeGeometry
+    return TreeGeometry(config.ivleague.n_treelings).total_nodes * 64
 
 
 def offchip_nfl_bytes(config: MachineConfig) -> int:

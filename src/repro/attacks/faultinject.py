@@ -46,8 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.secure.bmt import NodeId
-from repro.sim.config import TREE_ARITY, tiny_config
+from repro.sim.config import tiny_config
 from repro.sim.oracle import (DEFAULT_SCHEMES, MODEL_FAULTS,
                               DifferentialOracle, verify_scheme)
 
@@ -208,7 +207,7 @@ class TamperCampaign:
         rec[0] += 1
 
         if kind == "bitflip-treenode":
-            node = NodeId(1, page // TREE_ARITY)
+            node = fsm.tree.geo.leaf_for_counter(page)
             key = (node.level, node.index)
             saved = fsm.tree._node_hash.get(key)
             fsm.tree.tamper_node(

@@ -17,6 +17,7 @@ from repro.core.lmm import LeafMap, LMMCache
 from repro.core.nfl import ChainedNFL, NFLBuffer, NFLOp
 from repro.core.treeling import SlotRef, TreeLingGeometry
 from repro.mem.mirage import make_cache
+from repro.secure.bmt import TreeGeometry
 from repro.secure.engine import SecureMemoryEngine
 from repro.sim.config import BLOCK_BYTES, MachineConfig, TREE_ARITY
 
@@ -45,8 +46,10 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
 
     def _build_tree_cache(self, seed: int):
         cfg = self.config.secure.tree_cache
-        locked = self.geometry.locked_blocks_above_roots(
-            self.config.ivleague.n_treelings)
+        # TreeLing-root hashes are slots in the leaves of an 8-ary tree
+        # over the TreeLings; that whole cone, up to the global root, is
+        # locked on-chip (Section VI-B), one block per node.
+        locked = TreeGeometry(self.config.ivleague.n_treelings).total_nodes
         locked_bytes = locked * BLOCK_BYTES
         usable = max(cfg.assoc * BLOCK_BYTES, cfg.size_bytes - locked_bytes)
         shrunk = type(cfg)(size_bytes=usable, assoc=cfg.assoc,
@@ -177,6 +180,10 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         return op, 0.0
 
     def on_page_alloc(self, domain: int, pfn: int, now: float) -> float:
+        if pfn in self._live_pages:
+            # A second slot would orphan the first: its domain could
+            # never free it.
+            raise ValueError(f"pfn {pfn} is already mapped")
         self.stats.page_allocs += 1
         if self.tracer.enabled:
             # Engine entry point: NFL touches below belong to ``domain``.

@@ -144,22 +144,6 @@ class TreeLingGeometry:
             idx //= arity
         return out
 
-    # -- on-chip locked super-structure ----------------------------------------------
-
-    def locked_blocks_above_roots(self, n_treelings: int) -> int:
-        """Blocks locked on-chip to host all TreeLing-root hashes.
-
-        TreeLing-root hashes are slots in parent blocks one level up; the
-        whole cone from there to the global root is locked (paper locks
-        the top levels of the global tree, Section IX).
-        """
-        blocks = 0
-        n = n_treelings
-        while n > 1:
-            n = (n + self.arity - 1) // self.arity
-            blocks += n
-        return max(blocks, 1)
-
     def verification_levels(self, level: int) -> int:
         """Node reads needed from a slot at ``level`` to the root, worst
         case (no caching): the node itself plus every ancestor node."""

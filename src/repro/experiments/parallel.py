@@ -269,9 +269,6 @@ class ResultCache:
     first two hex characters of the key (``ab/<key>.pkl``) so many
     worker processes — or many hosts over a shared filesystem — can use
     one store without ever producing a 100k-entry flat directory.
-    Stores written by older versions in the flat layout are migrated
-    transparently: a flat entry is moved into its shard the first time
-    it is read (``os.replace``, so concurrent migrators race safely).
 
     Writes are atomic (tempfile + ``os.replace``), reads validate the
     envelope (schema version + key echo) and treat *any* failure —
@@ -301,7 +298,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.recovered = 0   # corrupted/stale entries dropped on read
-        self.migrated = 0    # flat-layout entries moved into shards
         self.tmp_swept = sweep_stale_tmp(
             self.root,
             self.TMP_GRACE_S if tmp_grace_s is None else tmp_grace_s)
@@ -309,38 +305,11 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def _flat_path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def _migrate_flat(self, key: str) -> Path:
-        """Best-effort move of a pre-sharding flat entry into its shard.
-
-        Returns the path the entry should now be read from: the sharded
-        path after a successful move (or after losing the race to a
-        concurrent migrator — ``os.replace`` is atomic either way), or
-        the flat path itself when the store is read-only.
-        """
-        flat = self._flat_path(key)
-        dest = self._path(key)
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, dest)
-            self.migrated += 1
-        except FileNotFoundError:
-            pass   # no flat entry, or a concurrent migrator won the race
-        except OSError:
-            return flat   # read-only store: read the flat entry in place
-        return dest
-
     def get(self, key: str):
         """Cached outcome for ``key`` or ``None`` (never raises)."""
         path = self._path(key)
         try:
-            try:
-                f = open(path, "rb")
-            except FileNotFoundError:
-                f = open(self._migrate_flat(key), "rb")
-            with f:
+            with open(path, "rb") as f:
                 payload = pickle.load(f)
             if (not isinstance(payload, dict)
                     or payload.get("cache_schema") != CACHE_SCHEMA_VERSION
@@ -391,16 +360,16 @@ class ResultCache:
         self.stores += 1
 
     def _entries(self):
-        """Every on-disk artifact: (path, is_tmp) over both layouts."""
+        """Every on-disk artifact: (path, is_tmp)."""
         if not self.root.is_dir():
             return
-        for pattern in ("*.pkl", "*.tmp", "*/*.pkl", "*/*.tmp"):
+        for pattern in ("*/*.pkl", "*/*.tmp"):
             for p in self.root.glob(pattern):
                 yield p, p.suffix == ".tmp"
 
     def clear(self) -> int:
-        """Delete every cache entry — sharded and legacy-flat, plus any
-        orphaned ``*.tmp`` files; returns the number removed."""
+        """Delete every cache entry, plus any orphaned ``*.tmp`` files;
+        returns the number removed."""
         n = 0
         for p, is_tmp in list(self._entries()):
             try:
@@ -425,14 +394,13 @@ def sweep_stale_tmp(root: Path, grace_s: float) -> int:
     if not root.is_dir():
         return 0
     cutoff = time.time() - grace_s
-    for pattern in ("*.tmp", "*/*.tmp"):
-        for p in root.glob(pattern):
-            try:
-                if p.stat().st_mtime <= cutoff:
-                    p.unlink()
-                    swept += 1
-            except OSError:
-                pass   # racing writer finished, or concurrent sweeper
+    for p in root.glob("*/*.tmp"):
+        try:
+            if p.stat().st_mtime <= cutoff:
+                p.unlink()
+                swept += 1
+        except OSError:
+            pass   # racing writer finished, or concurrent sweeper
     return swept
 
 

@@ -510,8 +510,7 @@ class _Evict:
 
     def __init__(self, engine, seed: int) -> None:
         geo = getattr(engine, "geo", None)   # IvLeague: 8-ary TreeLings
-        per_leaf = (geo.n_counter_blocks // geo.level_sizes[0]
-                    if geo is not None else TREE_ARITY)
+        per_leaf = geo.arities[0] if geo is not None else TREE_ARITY
         n = 3 * engine.config.secure.tree_cache.n_blocks * per_leaf // 2
         base = 128 * _GROUP   # clear of observer B's groups 100-107
         self.buffer = tuple(range(base, base + n))

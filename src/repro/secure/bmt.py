@@ -1,11 +1,14 @@
-"""Bonsai Merkle Tree: geometry (address mapping) + functional hash tree.
+"""Static integrity-tree geometry + functional Bonsai Merkle Tree.
 
 Two decoupled pieces:
 
-* :class:`TreeGeometry` -- the static address mapping of the global 8-ary
-  BMT: how many levels, which tree-node block verifies a given counter
-  block, parent links, and tagged physical addresses for every node.  The
-  timing engines use only this (presence in caches is what costs cycles).
+* :class:`TreeGeometry` -- the shape and address mapping of every static
+  tree in the model: the global 8-ary BMT and SGX counter tree, VAULT's
+  16/32/64-ary tree, a static partition's subtree and the on-chip cone
+  above the TreeLing roots.  How many levels, which tree-node block
+  verifies a given counter block, parent links, and tagged physical
+  addresses for every node.  The timing engines use only this (presence
+  in caches is what costs cycles).
 
 * :class:`BonsaiMerkleTree` -- a fully functional hash tree over a
   :class:`repro.secure.counters.CounterStore` with real digests, used by
@@ -33,72 +36,90 @@ class NodeId:
 
 
 class TreeGeometry:
-    """Static 8-ary tree shape over ``n_counter_blocks`` counter blocks."""
+    """Static tree shape over ``n_counter_blocks`` counter blocks.
+
+    ``arities`` gives each level's fan-in, leaf level first; the last
+    one repeats up to the root (``(8,)`` is the 8-ary BMT, VAULT's
+    ``(16, 32, 64)`` widens upwards).  Node blocks are numbered level by
+    level from the leaves, starting ``region`` blocks into the TREE
+    space, so trees over disjoint regions never share a block.
+    """
 
     def __init__(self, n_counter_blocks: int,
-                 arity: int = TREE_ARITY) -> None:
+                 arities: tuple[int, ...] = (TREE_ARITY,),
+                 region: int = 0) -> None:
         if n_counter_blocks <= 0:
             raise ValueError("need at least one counter block")
-        self.arity = arity
         self.n_counter_blocks = n_counter_blocks
-        sizes = []
-        n = n_counter_blocks
+        per_level, sizes, spans = [], [], []
+        n, span = n_counter_blocks, 1
         while True:
+            arity = arities[min(len(sizes), len(arities) - 1)]
             n = (n + arity - 1) // arity
+            span *= arity
+            per_level.append(arity)
             sizes.append(n)
+            spans.append(span)
             if n == 1:
                 break
+        #: fan-in per level, index 0 = level 1 (leaves).
+        self.arities: tuple[int, ...] = tuple(per_level)
         #: nodes per level, index 0 = level 1 (leaves).
         self.level_sizes: tuple[int, ...] = tuple(sizes)
+        #: counter blocks under one node per level: a counter block's
+        #: ancestor at level ``l`` is ``counter_block // spans[l - 1]``
+        #: (floor division composes).
+        self.spans: tuple[int, ...] = tuple(spans)
         self.height = len(sizes)
-        bases = []
-        base = 0
+        bases, base = [], region
         for s in sizes:
             bases.append(base)
             base += s
         self._level_base = bases
-        self.total_nodes = base
-        # Tagged address of node 0 per level: node blocks within a level
-        # are consecutive, so ``tagged_base + index`` equals
-        # ``spaces.tag(spaces.TREE, level_base + index)`` without paying
+        self.total_nodes = base - region
+        # (tagged address of node 0, span) per fetched level, root
+        # excluded: node blocks within a level are consecutive, so
+        # ``tagged_base + index`` equals ``node_addr`` without paying
         # the shift-and-or per node on the verification hot path.
-        self._tagged_level_base = [spaces.tag(spaces.TREE, b)
-                                   for b in bases]
+        self._walk = [(spaces.tag(spaces.TREE, b), s)
+                      for b, s in zip(bases[:-1], spans)]
 
     # -- structure ------------------------------------------------------------
 
-    def leaf_for_counter(self, counter_block: int) -> NodeId:
+    def _check(self, counter_block: int) -> None:
         if not 0 <= counter_block < self.n_counter_blocks:
             raise IndexError(f"counter block {counter_block} out of range")
-        return NodeId(1, counter_block // self.arity)
+
+    def leaf_for_counter(self, counter_block: int) -> NodeId:
+        self._check(counter_block)
+        return NodeId(1, counter_block // self.arities[0])
 
     def parent(self, node: NodeId) -> NodeId:
         if node.level >= self.height:
             raise ValueError("the root has no parent")
-        return NodeId(node.level + 1, node.index // self.arity)
+        return NodeId(node.level + 1,
+                      node.index // self.arities[node.level])
 
     def children(self, node: NodeId) -> list[NodeId]:
         if node.level <= 1:
             raise ValueError("leaf nodes have counter blocks as children")
-        lo = node.index * self.arity
-        hi = min(lo + self.arity, self.level_sizes[node.level - 2])
+        arity = self.arities[node.level - 1]
+        lo = node.index * arity
+        hi = min(lo + arity, self.level_sizes[node.level - 2])
         return [NodeId(node.level - 1, i) for i in range(lo, hi)]
 
     def counter_children(self, leaf: NodeId) -> list[int]:
         if leaf.level != 1:
             raise ValueError("only level-1 nodes cover counter blocks")
-        lo = leaf.index * self.arity
-        hi = min(lo + self.arity, self.n_counter_blocks)
+        lo = leaf.index * self.arities[0]
+        hi = min(lo + self.arities[0], self.n_counter_blocks)
         return list(range(lo, hi))
 
     def path_to_root(self, counter_block: int) -> list[NodeId]:
         """Verification path, leaf first, root last."""
-        node = self.leaf_for_counter(counter_block)
-        path = [node]
-        while node.level < self.height:
-            node = self.parent(node)
-            path.append(node)
-        return path
+        self._check(counter_block)
+        return [NodeId(level, counter_block // span)
+                for level, span in enumerate(self.spans, 1)]
 
     # -- physical addressing ----------------------------------------------------
 
@@ -107,18 +128,10 @@ class TreeGeometry:
         excluded* (the root is on-chip and never fetched).
 
         Equivalent to ``[node_addr(n) for n in path_to_root(cb)[:-1]]``
-        but without materialising a :class:`NodeId` per level -- this is
-        the innermost loop of every timing engine.
+        but without materialising a :class:`NodeId` per level.
         """
-        if not 0 <= counter_block < self.n_counter_blocks:
-            raise IndexError(f"counter block {counter_block} out of range")
-        arity = self.arity
-        idx = counter_block
-        out = []
-        for base in self._tagged_level_base[:self.height - 1]:
-            idx //= arity
-            out.append(base + idx)
-        return out
+        self._check(counter_block)
+        return [base + counter_block // span for base, span in self._walk]
 
     def node_addr(self, node: NodeId) -> int:
         """Tagged block address of a node (one node = one 64B block)."""
@@ -196,11 +209,10 @@ class BonsaiMerkleTree:
         zero_ctr = keyed_hash(self._key, b"zero-ctr",
                               digest_size=self.HASH_BYTES)
         out = [zero_ctr]
-        for level in range(1, self.geo.height + 1):
-            child = out[-1]
+        for level, arity in enumerate(self.geo.arities, 1):
             out.append(keyed_hash(self._key, b"zero-node",
                                   level.to_bytes(2, "little"),
-                                  child * self.geo.arity,
+                                  out[-1] * arity,
                                   digest_size=self.HASH_BYTES))
         return out
 
@@ -214,10 +226,11 @@ class BonsaiMerkleTree:
         without instantiating every node.
         """
         geo = self.geo
-        lo = index * geo.arity
+        arity = geo.arities[level - 1]
+        lo = index * arity
         child_zero = self._zero_hash[level - 1]
         if level == 1:
-            hi = min(lo + geo.arity, geo.n_counter_blocks)
+            hi = min(lo + arity, geo.n_counter_blocks)
             blocks = self.counters._blocks
             serialize = self.counters.serialize
             prefix = self._ctr_prefix
@@ -225,7 +238,7 @@ class BonsaiMerkleTree:
                 self._hash(prefix, c, serialize(c)) if c in blocks
                 else child_zero for c in range(lo, hi)])
         else:
-            hi = min(lo + geo.arity, geo.level_sizes[level - 2])
+            hi = min(lo + arity, geo.level_sizes[level - 2])
             stored = self._node_hash.get
             below = level - 1
             children = b"".join([stored((below, c), child_zero)
@@ -234,15 +247,11 @@ class BonsaiMerkleTree:
             return self._zero_hash[level]
         return self._hash(self._node_prefix[level], index, children)
 
-    def _path(self, counter_block: int):
+    def _path(self, counter_block: int) -> list[tuple[int, int]]:
         """``(level, index)`` of each node from the leaf to the root."""
-        if not 0 <= counter_block < self.geo.n_counter_blocks:
-            raise IndexError(f"counter block {counter_block} out of range")
-        arity = self.geo.arity
-        index = counter_block
-        for level in range(1, self.geo.height + 1):
-            index //= arity
-            yield level, index
+        self.geo._check(counter_block)
+        return [(level, counter_block // span)
+                for level, span in enumerate(self.geo.spans, 1)]
 
     # -- public API ---------------------------------------------------------------
 
@@ -278,12 +287,11 @@ class BonsaiMerkleTree:
             raise IndexError("counter store holds blocks outside the tree")
         node_hash = self._node_hash
         node_hash.clear()
-        arity = self.geo.arity
-        indices = {c // arity for c in blocks}
-        for level in range(1, self.geo.height + 1):
+        indices = blocks
+        for level, arity in enumerate(self.geo.arities, 1):
+            indices = {i // arity for i in indices}
             for index in indices:
                 node_hash[(level, index)] = self._compute_node(level, index)
-            indices = {i // arity for i in indices}
         self._root = node_hash.get((self.geo.height, 0),
                                    self._zero_hash[self.geo.height])
         return self._root

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.secure.bmt import TreeGeometry
 from repro.secure.crypto import keyed_hash
 from repro.secure.engine import BaselineEngine
 from repro.sim.config import TREE_ARITY
@@ -49,15 +50,9 @@ class CounterTree:
             raise ValueError("need at least one protected block")
         self.n_blocks = n_blocks
         self._key = key
-        sizes = []
-        n = n_blocks
-        while True:
-            n = (n + TREE_ARITY - 1) // TREE_ARITY
-            sizes.append(n)
-            if n == 1:
-                break
-        self.level_sizes = sizes          # index 0 = leaf node level
-        self.height = len(sizes)
+        geo = TreeGeometry(n_blocks)
+        self.level_sizes = geo.level_sizes   # index 0 = leaf node level
+        self.height = geo.height
         self._nodes: dict[tuple[int, int], _CtNode] = {}
         #: the root node's counters live on-chip (trusted).
         self.root = _CtNode()

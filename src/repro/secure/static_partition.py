@@ -44,9 +44,11 @@ class StaticPartitionEngine(BaselineEngine):
         self.pages_per_partition = config.memory_pages // n_partitions
         if self.pages_per_partition < 1:
             raise ValueError("more partitions than pages")
-        # One subtree shape shared by all partitions; node addresses are
-        # offset per partition so no blocks are shared.
-        self.geo = TreeGeometry(self.pages_per_partition)
+        # One subtree per partition, each in its own node address region
+        # so no blocks are shared.
+        self._geos = [TreeGeometry(self.pages_per_partition,
+                                   region=(part + 1) << 40)
+                      for part in range(n_partitions)]
         self._free_partitions = list(range(n_partitions - 1, -1, -1))
         self._partition_of: dict[int, int] = {}
 
@@ -103,8 +105,7 @@ class StaticPartitionEngine(BaselineEngine):
         regardless of how partitions are later reassigned across
         domains."""
         part, local_page = divmod(pfn, self.pages_per_partition)
-        offset = (part + 1) << 40  # per-partition node address region
-        return [base + offset for base in self.geo.path_addrs(local_page)]
+        return self._geos[part].path_addrs(local_page)
 
     def _page_labels(self, pfn: int) -> dict:
         return {"partition": pfn // self.pages_per_partition}

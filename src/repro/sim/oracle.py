@@ -204,8 +204,7 @@ class DifferentialOracle:
     def __init__(self, config: MachineConfig, engine, *,
                  seed: int = 0, checkpoint_every: int = 256,
                  frame_policy: str = "random", strict: bool = False,
-                 model_fault: Optional[str] = None,
-                 extra_tracer=None) -> None:
+                 model_fault: Optional[str] = None) -> None:
         if model_fault is not None and model_fault not in MODEL_FAULTS:
             raise ValueError(f"unknown model fault {model_fault!r}; "
                              f"known: {MODEL_FAULTS}")
@@ -215,7 +214,6 @@ class DifferentialOracle:
         self.checkpoint_every = checkpoint_every
         self.strict = strict
         self.model_fault = model_fault
-        self._extra_tracer = extra_tracer
 
         self.probe = ProbeTracer()
         engine.counter_observer = self.probe.counter
@@ -281,11 +279,8 @@ class DifferentialOracle:
     # -- fault/tracer plumbing ----------------------------------------------------
 
     def emit_fault(self, name: str, **args) -> None:
-        """Emit a ``fault`` trace event to the probe (and any attached
-        external tracer, e.g. an EventTracer exporting a trace file)."""
+        """Emit a ``fault`` trace event to the probe."""
         self.probe.instant("fault", name, ts=self.now, **args)
-        if self._extra_tracer is not None and self._extra_tracer.enabled:
-            self._extra_tracer.instant("fault", name, ts=self.now, **args)
 
     def _flag(self, kind: str, detail: str) -> None:
         self.disagreements.append(
@@ -524,8 +519,7 @@ class DifferentialOracle:
 
     # -- the lockstep drive loop ------------------------------------------------------
 
-    def run(self, workload: WorkloadSpec, max_ops: Optional[int] = None,
-            hooks=None) -> OracleReport:
+    def run(self, workload: WorkloadSpec, hooks=None) -> OracleReport:
         """Replay ``workload`` round-robin across its cores; checkpoint
         every ``checkpoint_every`` ops.  ``hooks.on_checkpoint(oracle)``
         (if given) runs after each checkpoint -- the fault-campaign
@@ -548,8 +542,6 @@ class DifferentialOracle:
                 pos = positions[ci]
                 if pos >= len(vpages):
                     continue
-                if max_ops is not None and self.ops >= max_ops:
-                    break
                 exhausted = False
                 if churn_every and pos and pos % churn_every == 0:
                     self._churn(domain, churn_pages)
@@ -560,8 +552,6 @@ class DifferentialOracle:
                     self.checkpoint()
                     if hooks is not None:
                         hooks.on_checkpoint(self)
-            if max_ops is not None and self.ops >= max_ops:
-                break
         if self.ops != self._last_checkpoint_op:
             self.checkpoint()
             if hooks is not None:

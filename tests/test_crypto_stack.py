@@ -252,7 +252,8 @@ class _ReferenceBMT:
         for level in range(1, geo.height + 1):
             zero.append(keyed_hash(key, b"zero-node",
                                    level.to_bytes(2, "little"),
-                                   zero[-1] * geo.arity, digest_size=8))
+                                   zero[-1] * geo.arities[level - 1],
+                                   digest_size=8))
         self.zero = zero
 
     def stored(self, node):

@@ -229,6 +229,26 @@ class TestIvLeagueCommon:
         assert e.stats.lmm_misses == misses  # second lookup hits
 
 
+@pytest.mark.parametrize("engine_cls", IV_ENGINES + [IvLeagueBVv1Engine,
+                                                     IvLeagueBVv2Engine])
+def test_second_alloc_of_a_live_page_is_rejected(tiny, engine_cls):
+    """Mapping a page that is live for another domain raises before any
+    slot is allocated, so the first mapping survives and frees cleanly."""
+    e = engine_cls(tiny)
+    e.on_domain_start(2)
+    e.on_domain_start(3)
+    e.on_page_alloc(2, 100, 0.0)
+    slot = e.leafmap.get(100)
+    with pytest.raises(ValueError):
+        e.on_page_alloc(3, 100, 1.0)
+    assert e.leafmap.get(100) == slot
+    assert e.lmm_cache.lookup(100) == slot
+    assert e.pool.treelings_of(3) == []
+    assert e.stats.page_allocs == 1
+    e.on_page_free(2, 100, 2.0)
+    assert 100 not in e.leafmap
+
+
 class TestBasicSpecifics:
     def test_pages_map_to_leaf_level_only(self, tiny):
         e = IvLeagueBasicEngine(tiny)

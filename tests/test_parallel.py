@@ -446,15 +446,8 @@ class TestWorkerCrash:
 
 
 # ---------------------------------------------------------------------------
-# sharded layout, flat-store migration, orphaned-tmp hygiene
+# sharded layout, orphaned-tmp hygiene
 # ---------------------------------------------------------------------------
-
-def _seed_flat_entry(root, key: str, outcome) -> None:
-    """Write a pre-sharding (flat-layout) cache entry directly."""
-    payload = {"cache_schema": parallel.CACHE_SCHEMA_VERSION,
-               "key": key, "cell": None, "outcome": outcome}
-    (root / f"{key}.pkl").write_bytes(pickle.dumps(payload))
-
 
 def _crashing_put(root, key) -> None:
     """Child-process body: die between mkstemp and os.replace, exactly
@@ -474,24 +467,23 @@ class TestShardedCache:
         assert (tmp_path / "ab" / f"{self.KEY}.pkl").is_file()
         assert not (tmp_path / f"{self.KEY}.pkl").exists()
 
-    def test_flat_entry_migrates_transparently_on_read(self, tmp_path):
-        outcome = CellFailure("v", "flat-era")
-        _seed_flat_entry(tmp_path, self.KEY, outcome)
+    def test_flat_entry_reads_as_miss(self, tmp_path):
+        """A pre-sharding ``<root>/<key>.pkl`` entry is never read."""
+        payload = {"cache_schema": parallel.CACHE_SCHEMA_VERSION,
+                   "key": self.KEY, "cell": None,
+                   "outcome": CellFailure("v", "flat-era")}
+        (tmp_path / f"{self.KEY}.pkl").write_bytes(pickle.dumps(payload))
         cache = ResultCache(tmp_path, payload_types=(CellFailure,))
-        assert cache.get(self.KEY) == outcome
-        assert cache.migrated == 1
-        assert not (tmp_path / f"{self.KEY}.pkl").exists()
-        assert (tmp_path / "ab" / f"{self.KEY}.pkl").is_file()
-        # second read is a plain sharded hit, no further migration
-        assert cache.get(self.KEY) == outcome
-        assert cache.migrated == 1
+        assert cache.get(self.KEY) is None
+        assert (cache.misses, cache.recovered) == (1, 0)
 
     def test_init_sweeps_only_stale_tmp(self, tmp_path):
         stale = tmp_path / "ab" / "old.tmp"
         stale.parent.mkdir()
         stale.write_bytes(b"orphan")
         os.utime(stale, (time.time() - 3600, time.time() - 3600))
-        fresh = tmp_path / "live.tmp"
+        fresh = tmp_path / "cd" / "live.tmp"
+        fresh.parent.mkdir()
         fresh.write_bytes(b"in-flight put")
         cache = ResultCache(tmp_path, payload_types=(CellFailure,))
         assert cache.tmp_swept == 1
@@ -501,7 +493,7 @@ class TestShardedCache:
     def test_clear_removes_and_counts_tmp_orphans(self, tmp_path):
         cache = ResultCache(tmp_path, payload_types=(CellFailure,))
         cache.put(self.KEY, CellFailure("v", "1"), None)
-        (tmp_path / "orphan.tmp").write_bytes(b"x")
+        (tmp_path / "ab" / "orphan.tmp").write_bytes(b"x")
         assert cache.clear() == 2
         assert cache.tmp_swept == 1
         assert cache.get(self.KEY) is None
@@ -553,12 +545,6 @@ def _clear_loop(root, rounds: int, out_q) -> None:
     out_q.put(("cleared", removed, 0))
 
 
-def _migrating_reader(root, out_q) -> None:
-    cache = ResultCache(root, payload_types=(CellFailure,))
-    ok = all(isinstance(cache.get(k), CellFailure) for k in _KEYS)
-    out_q.put(("reader", ok, cache.migrated))
-
-
 class TestCacheContention:
     def test_hammering_processes_see_no_torn_reads(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
@@ -583,28 +569,3 @@ class TestCacheContention:
         for k in _KEYS:
             cache.put(k, CellFailure("v", "final"), None)
             assert cache.get(k) == CellFailure("v", "final")
-
-    def test_concurrent_flat_migration_is_idempotent(self, tmp_path):
-        for k in _KEYS:
-            _seed_flat_entry(tmp_path, k, CellFailure("v", f"flat-{k}"))
-        ctx = multiprocessing.get_context("fork")
-        out_q = ctx.Queue()
-        procs = [ctx.Process(target=_migrating_reader,
-                             args=(tmp_path, out_q))
-                 for _ in range(4)]
-        for p in procs:
-            p.start()
-        results = [out_q.get(timeout=120) for _ in procs]
-        for p in procs:
-            p.join(30)
-            assert p.exitcode == 0
-        # every reader saw every value, regardless of who migrated it
-        assert all(ok for _, ok, _ in results)
-        # exactly one migration per key happened across all processes
-        assert sum(m for _, _, m in results) == len(_KEYS)
-        assert not list(tmp_path.glob("*.pkl"))      # flat layout gone
-        for k in _KEYS:
-            assert (tmp_path / k[:2] / f"{k}.pkl").is_file()
-        cache = ResultCache(tmp_path, payload_types=(CellFailure,))
-        assert cache.get(_KEYS[0]) == CellFailure("v", "flat-" + _KEYS[0])
-        assert cache.migrated == 0

@@ -119,3 +119,4 @@ class TestProStateful(_ProMachine.TestCase):
 for cls in (TestBasicStateful, TestInvertStateful, TestProStateful):
     cls.settings = settings(max_examples=12, stateful_step_count=40,
                             deadline=None)
+del cls   # else pytest collects the loop variable as a fourth test class

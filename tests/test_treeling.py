@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.treeling import SlotRef, TreeLingGeometry
+from repro.secure.bmt import TreeGeometry
 from repro.sim.config import TREE_ARITY
 
 
@@ -53,10 +54,10 @@ class TestGeometry:
         assert not a & b
 
     def test_locked_blocks_above_roots(self):
-        g = TreeLingGeometry(height=4)
+        # the locked cone is the 8-ary tree over the TreeLing roots:
         # 512 roots -> 64 + 8 + 1 locked parent blocks
-        assert g.locked_blocks_above_roots(512) == 73
-        assert g.locked_blocks_above_roots(1) == 1
+        assert TreeGeometry(512).total_nodes == 73
+        assert TreeGeometry(1).total_nodes == 1
 
     def test_verification_levels(self):
         g = TreeLingGeometry(height=4)

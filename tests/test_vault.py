@@ -3,37 +3,43 @@
 import pytest
 
 from repro.secure.bmt import TreeGeometry
-from repro.secure.vault import VaultEngine, VaultGeometry
+from repro.secure.vault import VAULT_ARITIES, VaultEngine
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import build_workload
+
+
+def vault_geometry(n: int) -> TreeGeometry:
+    """VAULT's tree over ``n`` counter blocks, as :class:`VaultEngine`
+    builds it."""
+    return TreeGeometry(n, VAULT_ARITIES, region=1 << 44)
 
 
 class TestVaultGeometry:
     def test_shallower_than_8ary(self):
         n = 1_000_000
-        assert VaultGeometry(n).height < TreeGeometry(n).height
+        assert vault_geometry(n).height < TreeGeometry(n).height
 
     def test_path_reaches_root(self):
-        g = VaultGeometry(10_000)
+        g = vault_geometry(10_000)
         path = g.path_to_root(9_999)
         assert path[0].level == 1
         assert path[-1].level == g.height
         assert g.level_sizes[-1] == 1
 
     def test_variable_arity_applied(self):
-        g = VaultGeometry(16 * 32 * 64)
+        g = vault_geometry(16 * 32 * 64)
         assert g.level_sizes[0] == 32 * 64    # leaf level: arity 16
         assert g.level_sizes[1] == 64         # next: arity 32
 
     def test_addresses_unique_and_disjoint_from_bmt(self):
-        g = VaultGeometry(5000)
+        g = vault_geometry(5000)
         bmt = TreeGeometry(5000)
         vault_addrs = {g.node_addr(n) for n in g.path_to_root(0)}
         bmt_addrs = {bmt.node_addr(n) for n in bmt.path_to_root(0)}
         assert vault_addrs.isdisjoint(bmt_addrs)
 
     def test_bounds_checked(self):
-        g = VaultGeometry(100)
+        g = vault_geometry(100)
         with pytest.raises(IndexError):
             g.leaf_for_counter(100)
 
