@@ -67,6 +67,7 @@ class _BVBase(IvLeagueBasicEngine):
                 return op, lat
             treeling = self.pool.assign_treeling(domain)  # may starve
             bv.append_treeling(treeling, self._node_order(treeling))
+            self._on_treeling_attached(domain, treeling)
 
     def _free_slot(self, domain: int, node_global: int, slot: int,
                    now: float) -> float:
