@@ -77,10 +77,9 @@ class TreeGeometry:
             base += s
         self._level_base = bases
         self.total_nodes = base - region
-        # (tagged address of node 0, span) per fetched level, root
-        # excluded: node blocks within a level are consecutive, so
-        # ``tagged_base + index`` equals ``node_addr`` without paying
-        # the shift-and-or per node on the verification hot path.
+        # (tagged address of node 0, span) per level below the on-chip
+        # root: node blocks within a level are consecutive, so a path
+        # address is ``tagged_base + counter_block // span``.
         self._walk = [(spaces.tag(spaces.TREE, b), s)
                       for b, s in zip(bases[:-1], spans)]
 

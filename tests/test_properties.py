@@ -142,3 +142,19 @@ def test_tree_geometry_paths_always_reach_root(counters, scale):
         path = geo.path_to_root(c)
         assert path[-1].level == geo.height
         assert len(path) == geo.height
+
+
+@given(st.lists(st.integers(2, 64), min_size=1, max_size=3),
+       st.integers(1, 50_000), st.sampled_from([0, 1 << 40, 1 << 44]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_geometry_path_follows_parent_links(arities, n, region, data):
+    """With any per-level arities and region, the verification path is
+    the leaf's parent chain and ``path_addrs`` its node addresses."""
+    geo = TreeGeometry(n, tuple(arities), region=region)
+    c = data.draw(st.integers(0, n - 1))
+    path = geo.path_to_root(c)
+    assert path[0] == geo.leaf_for_counter(c)
+    for node, parent in zip(path, path[1:]):
+        assert geo.parent(node) == parent
+    assert geo.path_addrs(c) == [geo.node_addr(node) for node in path[:-1]]
