@@ -142,9 +142,22 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
 
     def on_domain_end(self, domain: int) -> None:
         super().on_domain_end(domain)
-        self.pool.destroy_domain(domain)
+        released = set(self.pool.destroy_domain(domain))
         self._chains.pop(domain, None)
         self._nflb.pop(domain, None)
+        # The TreeLings go back to the pool blank: forget the pages still
+        # mapped into them and their parent flags (slot ids pack the
+        # TreeLing as their most significant part).
+        slots_per_treeling = self.geometry.nodes_per_treeling * TREE_ARITY
+        for pfn, slot_id in list(self.leafmap.slots.items()):
+            if slot_id // slots_per_treeling in released:
+                self.leafmap.pop(pfn)
+                del self._slot_pfn[slot_id]
+                self.lmm_cache.invalidate(pfn)
+                self._page_writes.pop(pfn, None)
+        self._parent_slots.difference_update(
+            [s for s in self._parent_slots
+             if s // slots_per_treeling in released])
 
     # -- page lifecycle ---------------------------------------------------------------------
 

@@ -12,11 +12,13 @@ from repro.secure.engine import BaselineEngine
 from repro.secure.static_partition import (NoFreePartition,
                                            PartitionOverflow,
                                            StaticPartitionEngine)
+from repro.sim.config import tiny_config
 from repro.sim.trace import EventTracer
 
 from tests.test_golden import ALL_NINE
 
 IV_ENGINES = [IvLeagueBasicEngine, IvLeagueInvertEngine, IvLeagueProEngine]
+FIVE_IV = IV_ENGINES + [IvLeagueBVv1Engine, IvLeagueBVv2Engine]
 ALL_ENGINES = [BaselineEngine] + IV_ENGINES
 
 
@@ -229,8 +231,7 @@ class TestIvLeagueCommon:
         assert e.stats.lmm_misses == misses  # second lookup hits
 
 
-@pytest.mark.parametrize("engine_cls", IV_ENGINES + [IvLeagueBVv1Engine,
-                                                     IvLeagueBVv2Engine])
+@pytest.mark.parametrize("engine_cls", FIVE_IV)
 def test_second_alloc_of_a_live_page_is_rejected(tiny, engine_cls):
     """Mapping a page that is live for another domain raises before any
     slot is allocated, so the first mapping survives and frees cleanly."""
@@ -247,6 +248,48 @@ def test_second_alloc_of_a_live_page_is_rejected(tiny, engine_cls):
     assert e.stats.page_allocs == 1
     e.on_page_free(2, 100, 2.0)
     assert 100 not in e.leafmap
+
+
+@pytest.mark.parametrize("engine_cls", FIVE_IV)
+class TestDomainEnd:
+    def test_live_pages_are_released(self, tiny, engine_cls):
+        e = engine_cls(tiny)
+        e.on_domain_start(8)
+        e.on_page_alloc(8, 5, 0.0)
+        e.handle_writeback(8, 5, 0, 1.0)
+        assert 5 in e._page_writes
+        e.on_domain_end(8)
+        assert 5 not in e.leafmap and e._slot_pfn == {}
+        assert e.lmm_cache.lookup(5) is None
+        assert 5 not in e._page_writes
+        e.on_domain_start(9)
+        e.on_page_alloc(9, 5, 2.0)
+        assert e.lmm_cache.lookup(5) == e.leafmap.get(5)
+
+    def test_next_domain_matches_a_fresh_engine(self, engine_cls):
+        """A TreeLing returned at domain end carries nothing over: the
+        next domain's slots, conversions and NFLB hits are a fresh
+        engine's."""
+        cfg = tiny_config().with_ivleague(n_treelings=1)
+        reused, fresh = engine_cls(cfg), engine_cls(cfg)
+        reused.on_domain_start(1)
+        for pfn in range(100, 300):
+            reused.on_page_alloc(1, pfn, 0.0)
+        for pfn in range(100, 300):
+            reused.on_page_free(1, pfn, 0.0)
+        reused.on_domain_end(1)
+        outcome = []
+        for e in (reused, fresh):
+            before = (e.stats.conversions, e.stats.nflb_hits,
+                      e.stats.nflb_misses)
+            e.on_domain_start(2)
+            for pfn in range(1000, 1200):
+                e.on_page_alloc(2, pfn, 0.0)
+            after = (e.stats.conversions, e.stats.nflb_hits,
+                     e.stats.nflb_misses)
+            outcome.append(([e.leafmap.get(p) for p in range(1000, 1200)],
+                            [b - a for a, b in zip(before, after)]))
+        assert outcome[0] == outcome[1]
 
 
 class TestBasicSpecifics:
