@@ -96,11 +96,6 @@ class LeafMap:
         self._stale.discard(pfn)
         return self.slots.pop(pfn)
 
-    def mark_stale(self, pfn: int) -> None:
-        if pfn not in self.slots:
-            raise KeyError(f"pfn {pfn} has no mapping to mark stale")
-        self._stale.add(pfn)
-
     def is_stale(self, pfn: int) -> bool:
         return pfn in self._stale
 

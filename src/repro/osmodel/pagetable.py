@@ -5,18 +5,18 @@ level).  IvLeague widens each last-level PTE by a 64-bit *leaf ID* (the
 TreeLing slot verifying the page), halving last-level fan-out to 256
 entries (8 VA bits), so the level boundaries shift as in Fig. 9b.
 
-The table is functional (walk returns PFN + leaf ID) and also produces
-the physical block addresses touched by a hardware walk, so the timing
-model can charge real page-walk traffic through the cache hierarchy.
+The table maps VPNs to PFNs and produces the physical block addresses
+touched by a hardware walk, so the timing model can charge real
+page-walk traffic through the cache hierarchy.  The leaf IDs themselves
+live in the engine's :class:`~repro.core.lmm.LeafMap`, keyed by PFN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.mem import spaces
-from repro.sim.config import BLOCK_BYTES, PAGE_BYTES
+from repro.sim.config import BLOCK_BYTES
 
 #: Bits of VA index per level, leaf level first (classic layout).
 CLASSIC_BITS = (9, 9, 9, 9)
@@ -31,7 +31,6 @@ IVLEAGUE_PTE_BYTES = 16
 @dataclass
 class WalkResult:
     pfn: int
-    leaf_id: Optional[int]
     #: Tagged block addresses a hardware walker reads, one per level.
     touched_blocks: tuple[int, ...]
 
@@ -39,17 +38,16 @@ class WalkResult:
 class PageTable:
     """One process's radix page table.
 
-    ``extended=True`` selects the IvLeague layout whose PTEs embed the
-    Leaf Mapping Metadata (LMM).
+    ``extended=True`` selects the IvLeague layout, whose wide PTEs
+    embed the Leaf Mapping Metadata (LMM).
     """
 
     def __init__(self, asid: int, extended: bool = False) -> None:
         self.asid = asid
-        self.extended = extended
         self.bits = IVLEAGUE_BITS if extended else CLASSIC_BITS
         self.pte_bytes = IVLEAGUE_PTE_BYTES if extended else CLASSIC_PTE_BYTES
-        # entries: vpn -> [pfn, leaf_id]
-        self._entries: dict[int, list] = {}
+        # entries: vpn -> pfn
+        self._entries: dict[int, int] = {}
         # Each radix level's "pages" are modelled as a dense region in the
         # PTABLE address space, partitioned per asid; this gives stable,
         # distinct block addresses for walk traffic without materialising
@@ -58,41 +56,23 @@ class PageTable:
 
     # -- functional mapping ---------------------------------------------------
 
-    def map(self, vpn: int, pfn: int, leaf_id: Optional[int] = None) -> None:
+    def map(self, vpn: int, pfn: int) -> None:
         if vpn in self._entries:
             raise ValueError(f"vpn {vpn} already mapped")
-        if leaf_id is not None and not self.extended:
-            raise ValueError("leaf_id requires the extended (IvLeague) PTE")
-        self._entries[vpn] = [pfn, leaf_id]
+        self._entries[vpn] = pfn
 
     def unmap(self, vpn: int) -> int:
-        entry = self._entries.pop(vpn, None)
-        if entry is None:
+        pfn = self._entries.pop(vpn, None)
+        if pfn is None:
             raise KeyError(f"vpn {vpn} not mapped")
-        return entry[0]
-
-    def set_leaf(self, vpn: int, leaf_id: Optional[int]) -> None:
-        """Update the LMM field (page migration under Invert/Pro)."""
-        if not self.extended:
-            raise ValueError("leaf_id requires the extended (IvLeague) PTE")
-        self._entries[vpn][1] = leaf_id
-
-    def leaf_of(self, vpn: int) -> Optional[int]:
-        return self._entries[vpn][1]
-
-    def translate(self, vpn: int) -> Optional[int]:
-        entry = self._entries.get(vpn)
-        return None if entry is None else entry[0]
+        return pfn
 
     # -- walk modelling -------------------------------------------------------
 
-    def entries_per_leaf_page(self) -> int:
-        return PAGE_BYTES // self.pte_bytes
-
     def walk(self, vpn: int) -> WalkResult:
         """Resolve ``vpn`` like a hardware walker, reporting touched blocks."""
-        entry = self._entries.get(vpn)
-        if entry is None:
+        pfn = self._entries.get(vpn)
+        if pfn is None:
             raise KeyError(f"page fault: vpn {vpn} of asid {self.asid}")
         touched = []
         index = vpn
@@ -106,4 +86,4 @@ class PageTable:
             block = self._region + (offset + entry_byte) // BLOCK_BYTES
             touched.append(spaces.tag(spaces.PTABLE, block))
             offset += 1 << 26  # keep levels in disjoint sub-regions
-        return WalkResult(entry[0], entry[1], tuple(touched))
+        return WalkResult(pfn, tuple(touched))

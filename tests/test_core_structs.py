@@ -53,11 +53,6 @@ class TestLeafMap:
         m.clear_stale(1)
         assert not m.is_stale(1)
 
-    def test_mark_stale_requires_mapping(self):
-        m = LeafMap()
-        with pytest.raises(KeyError):
-            m.mark_stale(9)
-
     def test_pte_blocks_coalesce_neighbours(self):
         m = LeafMap()
         assert m.pte_block_addr(0) == m.pte_block_addr(3)

@@ -304,9 +304,10 @@ class TestPageTable:
     def test_map_translate_unmap(self):
         pt = PageTable(asid=1)
         pt.map(100, 55)
-        assert pt.translate(100) == 55
+        assert pt.walk(100).pfn == 55
         assert pt.unmap(100) == 55
-        assert pt.translate(100) is None
+        with pytest.raises(KeyError):
+            pt.walk(100)
 
     def test_double_map_rejected(self):
         pt = PageTable(asid=1)
@@ -314,32 +315,19 @@ class TestPageTable:
         with pytest.raises(ValueError):
             pt.map(1, 3)
 
-    def test_leaf_id_requires_extended(self):
-        pt = PageTable(asid=1, extended=False)
-        with pytest.raises(ValueError):
-            pt.map(1, 2, leaf_id=9)
-
-    def test_extended_pte_stores_leaf(self):
-        pt = PageTable(asid=1, extended=True)
-        pt.map(1, 2, leaf_id=77)
-        assert pt.leaf_of(1) == 77
-        pt.set_leaf(1, 99)
-        assert pt.leaf_of(1) == 99
-
     def test_extended_layout_halves_leaf_fanout(self):
         classic = PageTable(1)
         extended = PageTable(2, extended=True)
-        assert classic.entries_per_leaf_page() == 512
-        assert extended.entries_per_leaf_page() == 256
+        assert classic.pte_bytes == 8
+        assert extended.pte_bytes == 16
         assert classic.bits == CLASSIC_BITS
         assert extended.bits == IVLEAGUE_BITS
 
     def test_walk_touches_one_block_per_level(self):
         pt = PageTable(asid=3, extended=True)
-        pt.map(42, 7, leaf_id=5)
+        pt.map(42, 7)
         walk = pt.walk(42)
         assert walk.pfn == 7
-        assert walk.leaf_id == 5
         assert len(walk.touched_blocks) == len(IVLEAGUE_BITS)
         assert len(set(walk.touched_blocks)) == len(walk.touched_blocks)
 
