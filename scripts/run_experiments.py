@@ -29,9 +29,8 @@ def main() -> None:
                     choices=["quick", "full"])
     ap.add_argument("--env", default="both",
                     choices=["fragmented", "sequential", "both"])
-    ap.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="parallel simulation workers (default: serial "
-                         "or $REPRO_JOBS)")
+    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="parallel simulation workers (default: serial)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the persistent result cache")
     ap.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -40,7 +39,7 @@ def main() -> None:
                     metavar="PATH",
                     help="live per-cell progress on stderr; with PATH, "
                          "also append structured JSONL events there "
-                         "(default: $REPRO_PROGRESS)")
+                         "(default: off)")
     args = ap.parse_args()
     runner.configure(jobs=args.jobs, cache_dir=args.cache_dir,
                      use_cache=False if args.no_cache else None,

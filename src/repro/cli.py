@@ -142,7 +142,6 @@ def _cmd_verify_oracle(args) -> int:
                                            detection_matrix,
                                            model_fault_matrix,
                                            run_campaigns)
-    from repro.experiments.parallel import default_jobs
     from repro.sim.oracle import DEFAULT_SCHEMES, verify_scheme
     from repro.sim.provenance import run_manifest
 
@@ -169,7 +168,6 @@ def _cmd_verify_oracle(args) -> int:
             for d in rep.disagreements[:5]:
                 print(f"    [ckpt {d.checkpoint}] {d.kind}: {d.detail}")
 
-    jobs = args.jobs if args.jobs else default_jobs()
     cache = None
     if not args.no_cache:
         root = (os.path.join(args.cache_dir, "campaigns")
@@ -177,7 +175,7 @@ def _cmd_verify_oracle(args) -> int:
         cache = campaign_cache(root)
     specs = default_campaign_specs(schemes=schemes, mixes=mixes,
                                    seed=args.seed, n_accesses=accesses)
-    results = run_campaigns(specs, jobs=jobs, cache=cache)
+    results = run_campaigns(specs, jobs=args.jobs, cache=cache)
     matrix = detection_matrix(results)
     ok &= matrix["ok"]
     print("\ntamper detection matrix (detected/injected over "
@@ -230,7 +228,6 @@ def _cmd_check_leakage(args) -> int:
     import json
     import os
 
-    from repro.experiments.parallel import default_jobs
     from repro.obs.leakage import (DEFAULT_SCHEMES, QUICK_SCHEMES,
                                    build_report, contract_of,
                                    default_pair_specs, leakage_matrix,
@@ -244,7 +241,6 @@ def _cmd_check_leakage(args) -> int:
         schemes = tuple(args.schemes.split(","))
     mixes = tuple(args.mixes.split(","))
     rounds = 24 if args.quick else args.rounds
-    jobs = args.jobs if args.jobs else default_jobs()
     cache = None
     if not args.no_cache:
         root = (os.path.join(args.cache_dir, "leakage")
@@ -254,7 +250,7 @@ def _cmd_check_leakage(args) -> int:
     specs = default_pair_specs(schemes=schemes, mixes=mixes,
                                pairs=args.pairs, rounds=rounds,
                                seed=args.seed)
-    results = run_pairs(specs, jobs=jobs, cache=cache)
+    results = run_pairs(specs, jobs=args.jobs, cache=cache)
     matrix = leakage_matrix(results)
 
     print(f"{'scheme':18s} {'mix':5s} {'contract':11s} "
@@ -281,7 +277,7 @@ def _cmd_check_leakage(args) -> int:
         mut_specs = mutation_pair_specs(schemes, mix=mixes[0],
                                         rounds=min(rounds, 24),
                                         seed=args.seed)
-        mutated = run_pairs(mut_specs, jobs=jobs, cache=cache)
+        mutated = run_pairs(mut_specs, jobs=args.jobs, cache=cache)
         mut = mutation_matrix(mutated)
         ok &= mut["ok"]
         print("\nmutation self-proof (every model leak must trip the "
@@ -331,9 +327,9 @@ def _configure_runner(args) -> None:
 def _add_runner_flags(sub, progress: bool = True) -> None:
     """--jobs/--no-cache/--cache-dir, plus --progress for the commands
     whose sweeps go through :func:`_configure_runner`."""
-    sub.add_argument("--jobs", type=int, default=None, metavar="N",
+    sub.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="simulate up to N cells in parallel worker "
-                          "processes (default: serial, or $REPRO_JOBS)")
+                          "processes (default: serial)")
     sub.add_argument("--no-cache", action="store_true",
                      help="ignore the persistent result cache: "
                           "re-simulate every cell and store nothing")
@@ -345,7 +341,7 @@ def _add_runner_flags(sub, progress: bool = True) -> None:
                          metavar="PATH",
                          help="live per-cell progress on stderr; with "
                               "PATH, also append structured JSONL events "
-                              "there (default: $REPRO_PROGRESS)")
+                              "there (default: off)")
 
 
 def _cmd_experiment(args) -> int:

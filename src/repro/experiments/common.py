@@ -2,13 +2,13 @@
 
 Every figure/table module exposes ``compute(scale) -> rows`` returning a
 list of dicts and ``main()`` that pretty-prints them, so the same code
-serves the pytest-benchmark harness, the examples and the EXPERIMENTS.md
+serves the experiment tests, the examples and the EXPERIMENTS.md
 regeneration script.
 
 Two scales are provided:
 
-* ``quick`` -- minutes-scale, used by benchmarks and CI; shapes hold but
-  with more noise.
+* ``quick`` -- minutes-scale, used by the CLI's default runs and CI;
+  noisier, and its short warm-up does not reproduce every paper shape.
 * ``full``  -- the configuration used to fill EXPERIMENTS.md.
 """
 

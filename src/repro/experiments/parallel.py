@@ -50,9 +50,9 @@ CACHE_SCHEMA_VERSION = 2
 #: Default persistent cache location, overridable per-process.
 DEFAULT_CACHE_DIR = os.path.join(".cache", "runs")
 
-#: Environment overrides honoured by :func:`default_cache_dir`.
+#: Environment overrides honoured by :func:`default_cache_dir` and
+#: :func:`cell_timeout_from_env`.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-JOBS_ENV = "REPRO_JOBS"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
 #: CellFailure kinds that describe the *host*, not the model: a hung or
@@ -64,17 +64,6 @@ TRANSIENT_FAILURE_KINDS = frozenset({"timeout", "worker-crashed"})
 
 def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else 1 (serial)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
 
 
 def cell_timeout_from_env() -> float | None:

@@ -36,13 +36,12 @@ _MEMO: dict[str, RunResult] = {}
 SCHEMES = list(ENGINES)   # baseline, ivleague-basic, -invert, -pro
 
 #: Process-wide execution policy; see :func:`configure`.
-_JOBS: int = parallel.default_jobs()
+_JOBS: int = 1
 _USE_CACHE: bool = True
 _CACHE_DIR: str | None = None
 _DISK_CACHE: ResultCache | None = None
-#: Progress-telemetry setting ("0" off, "1" live line, else JSONL path);
-#: ``None`` defers to the REPRO_PROGRESS environment variable.
-_PROGRESS: str | None = None
+#: Progress-telemetry setting ("0" off, "1" live line, else JSONL path).
+_PROGRESS: str = "0"
 
 
 def configure(jobs: int | None = None, cache_dir: str | None = None,
@@ -50,9 +49,11 @@ def configure(jobs: int | None = None, cache_dir: str | None = None,
               progress: str | None = None) -> None:
     """Set the runner's parallelism, persistent-cache and progress policy.
 
-    ``None`` leaves a setting unchanged.  Changing ``cache_dir`` or
-    ``use_cache`` drops the current :class:`ResultCache` handle (the
-    next run opens the new location); the in-process memo is untouched.
+    ``None`` leaves a setting unchanged; the defaults are a serial run,
+    the default cache directory and no progress output.  Changing
+    ``cache_dir`` or ``use_cache`` drops the current :class:`ResultCache`
+    handle (the next run opens the new location); the in-process memo is
+    untouched.
     ``progress`` follows the ``--progress`` convention: ``"0"`` off,
     ``"1"`` live stderr line, anything else a JSONL event-stream path.
     """
@@ -79,12 +80,6 @@ def disk_cache() -> ResultCache | None:
     return _DISK_CACHE
 
 
-def _cell(mix: str, scheme: str, sc: Scale,
-          config=None, frame_policy: str | None = None) -> Cell:
-    return parallel.scale_cell(mix, scheme, sc,
-                               frame_policy=frame_policy, config=config)
-
-
 def _unwrap(cell: Cell, outcome) -> RunResult:
     if isinstance(outcome, CellFailure):
         raise RuntimeError(
@@ -97,10 +92,10 @@ def run_cells(cells: list[Cell]) -> list:
     """Run arbitrary cells under the runner's jobs/cache policy.
 
     Returns outcomes aligned with ``cells`` (RunResult or CellFailure),
-    memoising RunResults in-process like :func:`run_mix` does.  When a
-    sweep produced any :class:`CellFailure` outcomes, a per-kind summary
-    is printed to stderr — failures are legitimate data points, but they
-    should never scroll past silently.
+    memoising RunResults in-process.  When a sweep produced any
+    :class:`CellFailure` outcomes, a per-kind summary is printed to
+    stderr — failures are legitimate data points, but they should never
+    scroll past silently.
     """
     keys = [parallel.cell_key(c) for c in cells]
     missing = [(k, c) for k, c in zip(keys, cells) if k not in _MEMO]
@@ -136,20 +131,6 @@ def run_cells(cells: list[Cell]) -> list:
     return results
 
 
-def run_mix(mix: str, scheme: str, scale: str | Scale = "quick",
-            config=None, frame_policy: str | None = None) -> RunResult:
-    """Run (or fetch) one mix under one scheme."""
-    cell = _cell(mix, scheme, get_scale(scale), config, frame_policy)
-    key = parallel.cell_key(cell)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    outcome = parallel.execute([cell], jobs=1, cache=disk_cache())[0]
-    result = _unwrap(cell, outcome)
-    _MEMO[key] = result
-    return result
-
-
 def run_all(scale: str | Scale = "quick", mixes: list[str] | None = None,
             schemes: list[str] | None = None,
             frame_policy: str | None = None
@@ -160,7 +141,7 @@ def run_all(scale: str | Scale = "quick", mixes: list[str] | None = None,
     mixes = list(mixes or ALL)
     schemes = list(schemes or SCHEMES)
     grid = [(mix, scheme) for mix in mixes for scheme in schemes]
-    cells = [_cell(mix, scheme, sc, frame_policy=frame_policy)
+    cells = [parallel.scale_cell(mix, scheme, sc, frame_policy=frame_policy)
              for mix, scheme in grid]
     outcomes = run_cells(cells)
     out: dict[str, dict[str, RunResult]] = {mix: {} for mix in mixes}

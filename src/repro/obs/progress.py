@@ -25,10 +25,10 @@ timestamp; documented in docs/OBSERVABILITY.md):
 of the pool's capacity the sweep actually used (1.0 = perfectly packed,
 low values = stragglers or an oversized pool).
 
-Selection is via the ``--progress`` CLI flag or the ``REPRO_PROGRESS``
-environment variable: ``0``/empty = off, ``1`` = live line on stderr,
-anything else = path to append the JSONL stream to (the live line stays
-on too when stderr is a TTY).
+Selection is via the ``--progress`` CLI flag (or the ``progress``
+setting of :func:`repro.experiments.runner.configure`): ``0``/empty =
+off, ``1`` = live line on stderr, anything else = path to append the
+JSONL stream to (the live line stays on too when stderr is a TTY).
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ import os
 import sys
 import time
 from typing import Optional, TextIO
-
-#: Environment switch mirrored by the CLI's ``--progress``.
-PROGRESS_ENV = "REPRO_PROGRESS"
 
 
 def read_events(path: str | os.PathLike) -> list:
@@ -77,12 +74,10 @@ def make_reporter(progress: str | None = None,
                   stream: TextIO | None = None) -> Optional["ProgressReporter"]:
     """Build a reporter from a ``--progress``-style setting.
 
-    ``None`` defers to ``REPRO_PROGRESS``; ``"0"``/empty disables;
-    ``"1"`` enables the live line only; any other value is a JSONL path.
+    ``None``, ``"0"`` and empty disable; ``"1"`` enables the live line
+    only; any other value is a JSONL path.
     """
-    if progress is None:
-        progress = os.environ.get(PROGRESS_ENV, "")
-    if progress in ("", "0"):
+    if progress in (None, "", "0"):
         return None
     jsonl_path = None if progress == "1" else progress
     return ProgressReporter(jsonl_path=jsonl_path, stream=stream)

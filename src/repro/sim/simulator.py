@@ -58,8 +58,9 @@ from repro.sim.trace import NULL_TRACER
 from repro.workloads.generator import WorkloadSpec
 
 #: Set to a non-empty value other than "0" to verify the conservation
-#: invariants after every run (the benchmark harness turns this on so
-#: accounting regressions fail loudly instead of skewing figures).
+#: invariants after every run (the slow paper-shape tests and perfbench
+#: turn this on so accounting regressions fail loudly instead of
+#: skewing figures).
 CHECK_INVARIANTS_ENV = "REPRO_CHECK_INVARIANTS"
 
 

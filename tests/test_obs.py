@@ -10,19 +10,17 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.parallel import CellFailure, ResultCache, execute_tasks
-from repro.obs.progress import PROGRESS_ENV, ProgressReporter, make_reporter
+from repro.obs.progress import ProgressReporter, make_reporter
 
 
 class TestMakeReporter:
     def test_off_settings(self):
+        assert make_reporter(None) is None
         assert make_reporter("") is None
         assert make_reporter("0") is None
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(PROGRESS_ENV, "0")
-        assert make_reporter(None) is None
-        monkeypatch.setenv(PROGRESS_ENV, "1")
-        rep = make_reporter(None, stream=io.StringIO())
+    def test_live_setting_writes_no_jsonl(self):
+        rep = make_reporter("1", stream=io.StringIO())
         assert rep is not None and rep._jsonl is None
         rep.close()
 
